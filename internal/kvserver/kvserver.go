@@ -9,8 +9,8 @@
 //
 // # Architecture
 //
-// A Server owns a fixed array of shards. Each shard is a minikv
-// skiplist guarded by one goroutine-native registry lock
+// A Server owns a fixed array of shards. Each shard is a hash-indexed
+// value array guarded by one goroutine-native registry lock
 // (internal/gonative), selected per shard at construction — so a
 // single server can run CNA on half its shards and sync.Mutex on the
 // other half, or any mix the experiment calls for. Requests are plain
@@ -21,6 +21,25 @@
 // no slot capacity hostage. Shards built on a reader-writer spec
 // ("cna-rw", "std-rw", ...) serve Gets under read holds — concurrent
 // readers share the shard, and only Put/Update take the write side.
+//
+// # Shard store
+//
+// Every request is a point operation on one key — there is no ordered
+// or range API — so a shard needs no ordered structure: a Go map from
+// key to position indexes a flat array of values, and a lookup costs
+// one or two cache misses, which keeps critical sections short enough
+// that lock handover, not the store, dominates. Every access holds the
+// shard lock (or a read hold, and concurrent map reads are safe), so
+// the store needs no concurrency of its own. Only inserting a new key
+// writes the map; Put and Update on an existing key read the map and
+// write the key's value word, and value words are loaded and stored
+// atomically. So if a broken lock let two requests on existing keys
+// overlap, they would lose an update — which counter checks such as
+// the swap storm's catch — rather than race on the map, which the
+// runtime may detect and abort the process for. Neither the map nor
+// the array holds pointers, so the garbage collector never scans the
+// store, and a key costs under 64 bytes of heap (footprint_test.go
+// pins it).
 //
 // # Live policy swap
 //
@@ -51,7 +70,6 @@ import (
 	"repro/internal/gonative"
 	"repro/internal/lockreg"
 	"repro/internal/locks"
-	"repro/internal/minikv"
 )
 
 // ErrDeadline is returned by the *Within request forms when the shard
@@ -84,8 +102,9 @@ func (l *shardLock) releaseRead(viaRead bool) {
 	}
 }
 
-// shard is one partition: a skiplist under a swappable lock. Padded so
-// neighbouring shards' hot lock pointers do not false-share.
+// shard is one partition: an indexed value array under a swappable
+// lock. Padded to a 64-byte stride so neighbouring shards' hot lock
+// pointers do not false-share (TestShardStride pins the size).
 type shard struct {
 	// cur is the advertised lock. Request paths load it, acquire, and
 	// re-validate; SwapShard publishes a replacement while holding the
@@ -98,8 +117,47 @@ type shard struct {
 	// holding it, re-opening the two-locks-live window the
 	// drain-and-validate protocol exists to close.
 	swapMu sync.Mutex
-	store  *minikv.SkipList
-	_      [3]uint64
+	// index maps each key to the position of its value in vals.
+	index map[uint64]int
+	// vals holds the values, loaded and stored atomically (see the
+	// package comment's "Shard store").
+	vals []uint64
+	_    [8]byte
+}
+
+// slot returns the word holding key's value, or nil if key is absent.
+// The caller holds the shard; the pointer is valid until the next
+// insert.
+func (s *shard) slot(key uint64) *uint64 {
+	if i, ok := s.index[key]; ok {
+		return &s.vals[i]
+	}
+	return nil
+}
+
+// get returns the value under key. The caller holds the shard, for
+// reading at least.
+func (s *shard) get(key uint64) (uint64, bool) {
+	if p := s.slot(key); p != nil {
+		return atomic.LoadUint64(p), true
+	}
+	return 0, false
+}
+
+// put stores value under key. The caller holds the shard for writing.
+func (s *shard) put(key, value uint64) {
+	if p := s.slot(key); p != nil {
+		atomic.StoreUint64(p, value)
+		return
+	}
+	s.insert(key, value)
+}
+
+// insert adds key, known to be absent, with value. The caller holds the
+// shard for writing.
+func (s *shard) insert(key, value uint64) {
+	s.index[key] = len(s.vals)
+	s.vals = append(s.vals, value)
 }
 
 // acquire locks the shard's current lock, retrying when a swap won the
@@ -239,7 +297,7 @@ func New(cfg Config) *Server {
 	}
 	for i := range srv.shards {
 		sh := &srv.shards[i]
-		sh.store = minikv.NewSkipList(uint64(i)*0x9e3779b97f4a7c15 + 0x5e17)
+		sh.index = make(map[uint64]int)
 		spec := cfg.Locks[i%len(cfg.Locks)]
 		sh.cur.Store(srv.buildLock(spec))
 	}
@@ -276,7 +334,7 @@ func (s *Server) shardFor(key uint64) *shard {
 func (s *Server) Get(key uint64) (uint64, bool) {
 	sh := s.shardFor(key)
 	l, viaRead := sh.acquireRead()
-	v, ok := sh.store.Get(key)
+	v, ok := sh.get(key)
 	l.releaseRead(viaRead)
 	return v, ok
 }
@@ -285,7 +343,7 @@ func (s *Server) Get(key uint64) (uint64, bool) {
 func (s *Server) Put(key, value uint64) {
 	sh := s.shardFor(key)
 	l := sh.acquire()
-	sh.store.Put(key, value)
+	sh.put(key, value)
 	l.m.Unlock()
 }
 
@@ -299,7 +357,7 @@ func (s *Server) GetWithin(key uint64, d time.Duration) (uint64, bool, error) {
 	if !ok {
 		return 0, false, ErrDeadline
 	}
-	v, found := sh.store.Get(key)
+	v, found := sh.get(key)
 	l.releaseRead(viaRead)
 	return v, found, nil
 }
@@ -311,7 +369,7 @@ func (s *Server) PutWithin(key, value uint64, d time.Duration) error {
 	if !ok {
 		return ErrDeadline
 	}
-	sh.store.Put(key, value)
+	sh.put(key, value)
 	l.m.Unlock()
 	return nil
 }
@@ -323,9 +381,14 @@ func (s *Server) PutWithin(key, value uint64, d time.Duration) error {
 func (s *Server) Update(key uint64, f func(old uint64, ok bool) uint64) uint64 {
 	sh := s.shardFor(key)
 	l := sh.acquire()
-	old, ok := sh.store.Get(key)
-	v := f(old, ok)
-	sh.store.Put(key, v)
+	var v uint64
+	if p := sh.slot(key); p != nil {
+		v = f(atomic.LoadUint64(p), true)
+		atomic.StoreUint64(p, v)
+	} else {
+		v = f(0, false)
+		sh.insert(key, v)
+	}
 	l.m.Unlock()
 	return v
 }
@@ -340,7 +403,7 @@ func (s *Server) Len() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		l, viaRead := sh.acquireRead()
-		n += sh.store.Len()
+		n += len(sh.index)
 		l.releaseRead(viaRead)
 	}
 	return n

@@ -1,10 +1,15 @@
 package kvserver
 
 import (
+	"context"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
+	"unsafe"
 
 	"repro/internal/lockreg"
+	"repro/internal/locks"
 	"repro/internal/numa"
 )
 
@@ -18,6 +23,15 @@ func testConfig(shards int, lockNames ...string) Config {
 		Locks:        specs,
 		Env:          lockreg.Env{Topology: numa.TwoSocketXeonE5()},
 		PoolCapacity: 8,
+	}
+}
+
+// TestShardStride pins the shard padding: shards sit back to back in
+// one slice, so a size that is not a multiple of the cache line would
+// let neighbouring shards' lock pointers false-share.
+func TestShardStride(t *testing.T) {
+	if size := unsafe.Sizeof(shard{}); size%64 != 0 {
+		t.Fatalf("unsafe.Sizeof(shard{}) = %d, want a multiple of 64", size)
 	}
 }
 
@@ -54,6 +68,64 @@ func TestServerUpdateReadModifyWrite(t *testing.T) {
 	if v, ok := srv.Get(9); !ok || v != 5 {
 		t.Fatalf("after 5 increments: %d,%v", v, ok)
 	}
+}
+
+// noLock excludes nothing, standing in for a broken shard lock.
+type noLock struct{}
+
+func (noLock) Lock()                             {}
+func (noLock) TryLock() bool                     { return true }
+func (noLock) Unlock()                           {}
+func (noLock) Name() string                      { return "none" }
+func (noLock) LockTimeout(time.Duration) bool    { return true }
+func (noLock) LockContext(context.Context) error { return nil }
+
+// TestBrokenLockLosesUpdatesWithoutAbort pins the store property that
+// keeps a mutual-exclusion failure checkable: Get and Update on
+// existing keys never write the shard's map, so two goroutines racing
+// under a do-nothing lock lose increments (which a counter check
+// reports) instead of tripping the runtime's concurrent map access
+// abort, and without a data race on the value words under -race.
+func TestBrokenLockLosesUpdatesWithoutAbort(t *testing.T) {
+	spec := lockreg.Spec{
+		Name: "none",
+		Native: func(lockreg.Env, ...lockreg.Option) locks.TimedNativeMutex {
+			return noLock{}
+		},
+	}
+	const keys, perWorker = 8, 200000
+	srv := New(Config{Shards: 2, Locks: []lockreg.Spec{spec}})
+	for k := uint64(0); k < keys; k++ {
+		srv.Put(k, 0)
+	}
+	inc := func(old uint64, _ bool) uint64 { return old + 1 }
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < perWorker; i++ {
+				srv.Update(uint64(i%keys), inc)
+				srv.Get(uint64((i + 3) % keys))
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	var sum uint64
+	for k := uint64(0); k < keys; k++ {
+		v, _ := srv.Get(k)
+		sum += v
+	}
+	if sum > 2*perWorker {
+		t.Fatalf("counter sum %d exceeds the %d Updates issued", sum, 2*perWorker)
+	}
+	if srv.Len() != keys {
+		t.Fatalf("Len() = %d, want %d", srv.Len(), keys)
+	}
+	t.Logf("GOMAXPROCS=%d: %d of %d increments lost", runtime.GOMAXPROCS(0), 2*perWorker-sum, 2*perWorker)
 }
 
 func TestPerShardLockSelection(t *testing.T) {
