@@ -2,7 +2,7 @@ package gonative
 
 // Adapter-level tests for the fused Fissile fast path: the uncontended
 // Lock/TryLock/Unlock cycle must never touch the slot pool (that is
-// the entire point of the fusion — no slot claim, no freelist RMW, no
+// the entire point of the fusion — no slot claim, no slot-pool RMW, no
 // allocation between a goroutine and the lock word), while the
 // contended fallback claims a slot only for the queue wait and returns
 // it before the critical section runs.
@@ -25,7 +25,7 @@ func TestFissileFastPathTouchesNoFreelist(t *testing.T) {
 	m := Wrap(lockreg.MustSpec("cna-fissile"), testEnv(2)).(*Mutex)
 	m.Lock()
 	if free, capn := m.PoolStats(); free != capn {
-		t.Fatalf("fast-path hold: %d of %d slots free, want all (no freelist traffic)", free, capn)
+		t.Fatalf("fast-path hold: %d of %d slots free, want all (no slot-pool traffic)", free, capn)
 	}
 	if m.TryLock() {
 		t.Fatal("TryLock succeeded on a held lock")
@@ -45,12 +45,12 @@ func TestFissileFastPathTouchesNoFreelist(t *testing.T) {
 // TryLock.
 func TestFissileTryLockNeedsNoSlot(t *testing.T) {
 	m := Wrap(lockreg.MustSpec("mcs-fissile"), testEnv(1)).(*Mutex)
-	th := m.pool.claim() // drain the one-slot pool
+	th := m.pool.claim(time.Time{}) // drain the one-slot pool
 	if !m.TryLock() {
 		t.Fatal("fissile TryLock failed with the pool drained (it needs no slot)")
 	}
 	m.Unlock()
-	m.pool.release(th)
+	m.pool.free.add(th)
 }
 
 // TestFissileSlowPathReturnsSlotBeforeCriticalSection: the queue

@@ -8,32 +8,29 @@
 // socket, a nesting counter. Goroutines have none of that — they
 // migrate freely between OS threads and expose no usable id — so the
 // adapter supplies identity per acquisition instead of per worker:
-// Lock claims a *locks.Thread from a striped freelist of preallocated
-// slots, runs the real lock's protocol on it, and remembers it in the
-// (held) mutex; Unlock releases the inner lock on that thread and
-// returns the slot. Compact Java Monitors (Dice & Kogan 2021) hides
-// thread identity behind the lock the same way to make CNA a drop-in
+// Lock claims a *locks.Thread from a pool of preallocated slots, runs
+// the real lock's protocol on it, and remembers it in the (held)
+// mutex; Unlock releases the inner lock on that thread and returns the
+// slot. Compact Java Monitors (Dice & Kogan 2021) hides thread
+// identity behind the lock the same way to make CNA a drop-in
 // replacement for synchronized blocks.
 //
 // # The slot pool
 //
-// Slots live in per-socket stripes (socket-aware via numa.Placement
-// when the Env carries a topology; the default topology round-robins
-// workers across its sockets, which degrades to plain round-robin
-// striping). A claim starts at the stripe hinted by the goroutine's
-// stack address — cheap, goroutine-correlated, and stable enough that
-// repeat acquisitions from the same goroutine reuse the same recently
-// freed slot, keeping its queue-node cache lines hot — and falls over
-// to the other stripes when the hinted one is empty. Freed slots are
-// pushed LIFO onto their home stripe for the same reason. Each stripe
-// is guarded by a tiny test-and-set latch around three instructions;
-// an atomic head peek skips empty stripes without taking it. On top of
-// the pool, each private-pool adapter keeps a one-slot reclaim cache:
-// Unlock parks its slot in the mutex with one CAS and the next Lock
-// swaps it out with one exchange, so the steady-state adapter cost is
-// two atomic RMWs per lock/unlock pair (slot-starved claims poll the
-// cache alongside the stripes, so a cached slot never strands a
-// waiter). The contended path allocates nothing.
+// The pool is a free-slot bitmap. Each socket's slots (socket-aware
+// via numa.Placement when the Env carries a topology; the default
+// topology round-robins workers across its sockets) get consecutive
+// thread IDs in stripes of at most 64, and each stripe is one
+// cache-line-padded word whose bit i means "thread base+i is free". A
+// thread's socket is fixed at construction to its stripe's socket. A
+// claim starts at the stripe hinted by the goroutine's stack address
+// and CASes off the lowest set bit, falling over to the next stripes
+// when the hinted one is empty; lowest-bit-first keeps reusing the
+// same few slots, whose queue-node cache lines stay hot. A release is
+// one atomic Or into the slot's home stripe, so a lock/unlock pair
+// costs the adapter two atomic RMWs, and nothing allocates. The RW
+// adapter keeps its in-flight readers in a second bitmap of the same
+// layout, indexed by thread ID.
 //
 // When every slot is claimed, Lock waits (bounded spin, then scheduler
 // yields) for an Unlock to free one — the adapter never hands out more
@@ -49,6 +46,7 @@ package gonative
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -61,65 +59,77 @@ import (
 	"repro/internal/spinwait"
 )
 
-// slot is one pool entry: a preallocated Thread plus its freelist link.
-// The link is guarded by the home stripe's latch.
-type slot struct {
-	th     *locks.Thread
-	stripe int32
-	next   *slot
+// word is one stripe of a bitmap: bit i stands for thread base+i. It
+// fills a cache line of its own, so CASes on neighbouring stripes do
+// not false-share.
+type word struct {
+	bits atomic.Uint64
+	base int
+	_    [48]byte
 }
 
-// stripe is one freelist shard, padded to its own cache line so
-// neighbouring stripes' latches and heads do not false-share.
-type stripe struct {
-	latch atomic.Uint32
-	head  atomic.Pointer[slot]
-	_     [5]uint64
+// bitmap is a lock-free set of a pool's Threads, kept in stripes of
+// at most 64 consecutive thread IDs. home maps a thread ID to its
+// stripe and bit (stripe<<6 | bit) and threads maps it back to the
+// Thread; both are fixed at construction and shared by every bitmap of
+// one pool's layout.
+type bitmap struct {
+	words   []word
+	home    []uint32
+	threads []*locks.Thread
 }
 
-// lock acquires the stripe latch. The critical sections under it are a
-// handful of instructions, so contention resolves in the spinner's
-// cheap first phase; the spinner still escalates to scheduler yields,
-// keeping the pool live at GOMAXPROCS=1.
-func (s *stripe) lock() {
-	var w spinwait.Spinner
-	for s.latch.Swap(1) != 0 {
-		w.Pause()
+// add puts th into the set: one atomic Or on its home stripe.
+func (b *bitmap) add(th *locks.Thread) {
+	h := b.home[th.ID]
+	b.words[h>>6].bits.Or(1 << (h & 63))
+}
+
+// take removes some member and returns it, nil when the set is empty.
+// One pass over the stripes, starting at the one the stripe hint
+// names; a nonempty stripe loses its lowest set bit by CAS. TryLock
+// builds on this: it must not block, not even on slots.
+func (b *bitmap) take() *locks.Thread {
+	n := len(b.words)
+	j := int(stripeHint() % uintptr(n))
+	for i := 0; i < n; i++ {
+		w := &b.words[j]
+		for m := w.bits.Load(); m != 0; m = w.bits.Load() {
+			if w.bits.CompareAndSwap(m, m&(m-1)) {
+				return b.threads[w.base+bits.TrailingZeros64(m)]
+			}
+		}
+		if j++; j == n {
+			j = 0
+		}
 	}
+	return nil
 }
 
-func (s *stripe) unlock() { s.latch.Store(0) }
-
-// pop removes the most recently freed slot, or returns nil. The
-// latch-free head peek keeps scanning past empty stripes cheap.
-func (s *stripe) pop() *slot {
-	if s.head.Load() == nil {
-		return nil
+// count sums the stripes' popcounts; exact only at quiescence.
+func (b *bitmap) count() int {
+	total := 0
+	for i := range b.words {
+		total += bits.OnesCount64(b.words[i].bits.Load())
 	}
-	s.lock()
-	sl := s.head.Load()
-	if sl != nil {
-		s.head.Store(sl.next)
+	return total
+}
+
+// emptyCopy returns an empty bitmap with b's layout.
+func (b *bitmap) emptyCopy() bitmap {
+	words := make([]word, len(b.words))
+	for i := range words {
+		words[i].base = b.words[i].base
 	}
-	s.unlock()
-	return sl
+	return bitmap{words: words, home: b.home, threads: b.threads}
 }
 
-// push returns a slot to the stripe, LIFO so its node cache stays hot.
-func (s *stripe) push(sl *slot) {
-	s.lock()
-	sl.next = s.head.Load()
-	s.head.Store(sl)
-	s.unlock()
-}
-
-// Pool is a striped freelist of preallocated *locks.Thread slots shared
-// by the acquisitions of one adapted lock (or of many, when adapters
-// are built over one pool via WrapWithPool — a thread occupies at most
-// one slot per acquisition regardless of which lock it is for).
+// Pool is a set of preallocated *locks.Thread slots shared by the
+// acquisitions of one adapted lock (or of many, when adapters are
+// built over one pool via WrapWithPool — a thread occupies at most one
+// slot per acquisition regardless of which lock it is for).
 type Pool struct {
-	stripes []stripe
-	slots   []slot
+	free bitmap
 }
 
 // NewPool preallocates capacity Thread slots striped across the
@@ -131,120 +141,77 @@ func NewPool(capacity int, topo numa.Topology) *Pool {
 	if topo.Validate() != nil {
 		topo = numa.TwoSocketXeonE5()
 	}
-	place := numa.NewPlacement(topo, capacity, numa.Spread)
-	p := &Pool{
-		stripes: make([]stripe, topo.Sockets),
-		slots:   make([]slot, capacity),
+	perSocket := numa.NewPlacement(topo, capacity, numa.Spread).PerSocketCounts()
+	stripes := 0
+	for _, n := range perSocket {
+		stripes += (n + 63) / 64
 	}
-	// Push in reverse so low thread IDs end up on top of each stripe's
-	// LIFO — the IDs whose queue nodes sit at the front of node arrays.
-	for i := capacity - 1; i >= 0; i-- {
-		socket := place.SocketOf(i)
-		sl := &p.slots[i]
-		sl.th = locks.NewThread(i, socket)
-		sl.stripe = int32(socket)
-		p.stripes[socket].push(sl)
+	free := bitmap{
+		words:   make([]word, stripes),
+		home:    make([]uint32, capacity),
+		threads: make([]*locks.Thread, capacity),
 	}
-	return p
+	id, s := 0, 0
+	for socket, n := range perSocket {
+		for ; n > 0; n -= 64 {
+			size := min(n, 64)
+			w := &free.words[s]
+			w.base = id
+			w.bits.Store(^uint64(0) >> (64 - size))
+			for bit := 0; bit < size; bit++ {
+				free.threads[id] = locks.NewThread(id, socket)
+				free.home[id] = uint32(s<<6 | bit)
+				id++
+			}
+			s++
+		}
+	}
+	return &Pool{free: free}
 }
 
 // stripeHint derives a cheap goroutine-correlated stripe index from the
 // goroutine's stack address: stacks are goroutine-private and mostly
-// stable, so one goroutine keeps hitting one stripe (and, LIFO, often
-// the very slot it just released) without any shared counter to
-// contend on. Only the hint quality depends on this — any value is
-// correct. A variable so the cross-stripe reclaim tests can pin the
-// hint.
+// stable, so one goroutine keeps hitting one stripe (and, lowest bit
+// first, often the very slot it just released) without any shared
+// counter to contend on. Goroutines at equal call depth share a stripe
+// — their stacks are equally aligned — and spreading them with a
+// higher shift measured slower on the serving benchmark. Only the hint
+// quality depends on this; any value is correct. A variable so the
+// pool tests can pin the hint.
 var stripeHint = func() uintptr {
 	var probe byte
 	return uintptr(unsafe.Pointer(&probe)) >> 10
 }
 
-// tryClaim pops a free Thread slot: one pass over the stripes, nil
-// when every slot is busy (the adapter's claim loop and TryLock both
-// build on this; TryLock must not block, not even on slots). The
-// thread's socket identity is restamped to the stripe it was popped
-// from — stripes are per-socket, so a slot that migrated stripes (see
-// release) must not keep advertising its construction-time socket to
-// the NUMA-aware locks.
-func (p *Pool) tryClaim() *locks.Thread {
-	h := int(stripeHint())
-	n := len(p.stripes)
-	for i := 0; i < n; i++ {
-		j := (h + i) % n
-		if sl := p.stripes[j].pop(); sl != nil {
-			sl.th.Socket = j
-			return sl.th
-		}
-	}
-	return nil
-}
-
-// release returns a claimed Thread to the stripe the releasing
-// goroutine's hint points at now — re-probed per release, not the
-// stamp from the claim. A goroutine that migrated between acquires
-// (or a critical section handed across goroutines) parks the slot
-// where the *next* acquire from here will look first, instead of
-// pinning it to a stale home; tryClaim restamps the socket on the way
-// back out.
-func (p *Pool) release(th *locks.Thread) {
-	sl := &p.slots[th.ID]
-	h := int(stripeHint()) % len(p.stripes)
-	sl.stripe = int32(h)
-	p.stripes[h].push(sl)
-}
-
-// claim pops a free slot, waiting (bounded spin, then scheduler
-// yields) for a release when every slot is busy. The adapters without
-// a reclaim cache (the RW adapter's paths) claim through this.
-func (p *Pool) claim() *locks.Thread {
-	if th := p.tryClaim(); th != nil {
-		return th
-	}
+// claim takes a free slot, waiting (bounded spin, then scheduler
+// yields) for a release while every slot is busy. A zero deadline
+// waits forever; otherwise claim returns nil once the deadline passes,
+// with the clock probes amortized as in locks.PollTimeout. Every
+// acquisition runs on a fresh slot at depth 0, so a nested slot means
+// the adapter itself is broken: claim panics rather than corrupt a
+// queue node.
+func (p *Pool) claim(deadline time.Time) *locks.Thread {
+	th := p.free.take()
 	var w spinwait.Spinner
-	for {
+	for n := 1; th == nil; n++ {
 		w.Pause()
-		if th := p.tryClaim(); th != nil {
-			return th
-		}
-	}
-}
-
-// claimTimeout is claim with a deadline: nil when no release freed a
-// slot in time. The clock probes are amortized as in locks.PollTimeout.
-func (p *Pool) claimTimeout(deadline time.Time) *locks.Thread {
-	if th := p.tryClaim(); th != nil {
-		return th
-	}
-	var w spinwait.Spinner
-	for n := 1; ; n++ {
-		w.Pause()
-		if th := p.tryClaim(); th != nil {
-			return th
-		}
-		if (w.Yielding() || n%64 == 0) && !time.Now().Before(deadline) {
+		th = p.free.take()
+		if th == nil && !deadline.IsZero() && (w.Yielding() || n%64 == 0) && !time.Now().Before(deadline) {
 			return nil
 		}
 	}
+	if th.Depth() != 0 {
+		panic(fmt.Sprintf("gonative: pooled thread %d claimed at nesting depth %d", th.ID, th.Depth()))
+	}
+	return th
 }
 
 // Capacity reports the number of preallocated slots.
-func (p *Pool) Capacity() int { return len(p.slots) }
+func (p *Pool) Capacity() int { return len(p.free.threads) }
 
-// Free counts currently free slots (taking each stripe latch), for the
-// leak checks in tests: after quiescence Free must equal Capacity.
-func (p *Pool) Free() int {
-	total := 0
-	for i := range p.stripes {
-		s := &p.stripes[i]
-		s.lock()
-		for sl := s.head.Load(); sl != nil; sl = sl.next {
-			total++
-		}
-		s.unlock()
-	}
-	return total
-}
+// Free counts currently free slots, for the leak checks in tests:
+// after quiescence Free must equal Capacity.
+func (p *Pool) Free() int { return p.free.count() }
 
 // noCopy makes `go vet`'s copylocks analysis flag any copy of the
 // embedding struct (the same device sync.noCopy uses): a copied Mutex
@@ -271,20 +238,9 @@ type Mutex struct {
 	// section runs, since a Fissile critical section holds only the
 	// outer word). This is what closes the adapter-overhead gap to
 	// sync.Mutex: the common case allocates nothing and touches no
-	// freelist.
+	// slot pool.
 	fast *fissile.Lock
 	pool *Pool
-	// cache is a one-slot reclaim fast path: Unlock parks its slot here
-	// (one CAS) and the next Lock swaps it out (one exchange) instead of
-	// both taking a stripe latch — the steady-state adapter cost is two
-	// atomic RMWs per lock/unlock pair, which is what keeps go-native
-	// CNA within 2x of the raw *Thread path. Slot-starved Lock calls
-	// poll the cache alongside the pool, so a cached slot can never
-	// strand a waiter. Disabled (shared=true) for adapters over a shared
-	// pool, where a slot parked in an idle adapter would steal capacity
-	// from its siblings.
-	cache  atomic.Pointer[locks.Thread]
-	shared bool
 	// holder is the Thread the current acquisition claimed, handed from
 	// Lock to Unlock through the mutex itself. It is a plain field: it
 	// is written only after the inner lock is acquired and read only
@@ -293,61 +249,6 @@ type Mutex struct {
 	// sync.Mutex, handing one critical section between goroutines
 	// requires the caller's own synchronization.
 	holder *locks.Thread
-}
-
-// claim obtains a thread slot: the reclaim cache first, then the pool,
-// then a bounded-spin wait polling both (an Unlock must eventually
-// publish a slot to one of them).
-func (m *Mutex) claim() *locks.Thread {
-	if th := m.cache.Swap(nil); th != nil {
-		return th
-	}
-	if th := m.pool.tryClaim(); th != nil {
-		return th
-	}
-	var w spinwait.Spinner
-	for {
-		w.Pause()
-		if th := m.cache.Swap(nil); th != nil {
-			return th
-		}
-		if th := m.pool.tryClaim(); th != nil {
-			return th
-		}
-	}
-}
-
-// claimTimeout is claim with a deadline: nil when no Unlock freed a
-// slot in time. The clock probes are amortized as in locks.PollTimeout.
-func (m *Mutex) claimTimeout(deadline time.Time) *locks.Thread {
-	if th := m.cache.Swap(nil); th != nil {
-		return th
-	}
-	if th := m.pool.tryClaim(); th != nil {
-		return th
-	}
-	var w spinwait.Spinner
-	for n := 1; ; n++ {
-		w.Pause()
-		if th := m.cache.Swap(nil); th != nil {
-			return th
-		}
-		if th := m.pool.tryClaim(); th != nil {
-			return th
-		}
-		if (w.Yielding() || n%64 == 0) && !time.Now().Before(deadline) {
-			return nil
-		}
-	}
-}
-
-// put returns a slot: to the empty reclaim cache when allowed, else to
-// the pool.
-func (m *Mutex) put(th *locks.Thread) {
-	if !m.shared && m.cache.CompareAndSwap(nil, th) {
-		return
-	}
-	m.pool.release(th)
 }
 
 // Lock implements locks.NativeMutex (and sync.Locker): claim a thread
@@ -360,18 +261,12 @@ func (m *Mutex) Lock() {
 		if f.TryFast() {
 			return
 		}
-		th := m.claim()
-		if th.Depth() != 0 {
-			panic(fmt.Sprintf("gonative: pooled thread %d claimed at nesting depth %d", th.ID, th.Depth()))
-		}
+		th := m.pool.claim(time.Time{})
 		f.LockSlow(th)
-		m.put(th)
+		m.pool.free.add(th)
 		return
 	}
-	th := m.claim()
-	if th.Depth() != 0 {
-		panic(fmt.Sprintf("gonative: pooled thread %d claimed at nesting depth %d", th.ID, th.Depth()))
-	}
+	th := m.pool.claim(time.Time{})
 	m.inner.Lock(th)
 	m.holder = th
 }
@@ -387,14 +282,12 @@ func (m *Mutex) TryLock() bool {
 		// of a slot either.
 		return f.TryFast()
 	}
-	th := m.cache.Swap(nil)
+	th := m.pool.free.take()
 	if th == nil {
-		if th = m.pool.tryClaim(); th == nil {
-			return false
-		}
+		return false
 	}
 	if !m.inner.TryLock(th) {
-		m.put(th)
+		m.pool.free.add(th)
 		return false
 	}
 	m.holder = th
@@ -418,24 +311,18 @@ func (m *Mutex) LockTimeout(d time.Duration) bool {
 			return true
 		}
 		deadline := time.Now().Add(d)
-		th := m.claimTimeout(deadline)
+		th := m.pool.claim(deadline)
 		if th == nil {
 			return false
 		}
-		if th.Depth() != 0 {
-			panic(fmt.Sprintf("gonative: pooled thread %d claimed at nesting depth %d", th.ID, th.Depth()))
-		}
 		ok := f.LockSlowTimeout(th, time.Until(deadline))
-		m.put(th)
+		m.pool.free.add(th)
 		return ok
 	}
 	deadline := time.Now().Add(d)
-	th := m.claimTimeout(deadline)
+	th := m.pool.claim(deadline)
 	if th == nil {
 		return false
-	}
-	if th.Depth() != 0 {
-		panic(fmt.Sprintf("gonative: pooled thread %d claimed at nesting depth %d", th.ID, th.Depth()))
 	}
 	var ok bool
 	if tm, timed := m.inner.(locks.TimedMutex); timed {
@@ -444,7 +331,7 @@ func (m *Mutex) LockTimeout(d time.Duration) bool {
 		ok = locks.PollTimeout(func() bool { return m.inner.TryLock(th) }, time.Until(deadline))
 	}
 	if !ok {
-		m.put(th)
+		m.pool.free.add(th)
 		return false
 	}
 	m.holder = th
@@ -483,7 +370,7 @@ func (m *Mutex) Unlock() {
 	}
 	m.holder = nil
 	m.inner.Unlock(th)
-	m.put(th)
+	m.pool.free.add(th)
 }
 
 // Name implements locks.NativeMutex: the inner lock's registry name.
@@ -494,15 +381,9 @@ func (m *Mutex) Name() string { return m.inner.Name() }
 // the adapter is in use.
 func (m *Mutex) Inner() locks.Mutex { return m.inner }
 
-// PoolStats reports (free, capacity) of the adapter's slot pool; a slot
-// parked in the reclaim cache counts as free (it is claimable by any
-// Lock on this adapter).
+// PoolStats reports (free, capacity) of the adapter's slot pool.
 func (m *Mutex) PoolStats() (free, capacity int) {
-	free = m.pool.Free()
-	if m.cache.Load() != nil {
-		free++
-	}
-	return free, m.pool.Capacity()
+	return m.pool.Free(), m.pool.Capacity()
 }
 
 // DefaultCapacity is the slot-pool size New uses when the Env carries
@@ -540,8 +421,7 @@ func MustNew(name string, env lockreg.Env, opts ...lockreg.Option) locks.TimedNa
 }
 
 // Wrap builds spec in goroutine-native form (see New) with a private
-// slot pool (and the one-slot reclaim cache enabled — the pool is not
-// shared, so a parked slot steals capacity from nobody).
+// slot pool.
 func Wrap(spec lockreg.Spec, env lockreg.Env, opts ...lockreg.Option) locks.TimedNativeMutex {
 	if spec.Native != nil {
 		return spec.Native(env, opts...)
@@ -549,29 +429,22 @@ func Wrap(spec lockreg.Spec, env lockreg.Env, opts ...lockreg.Option) locks.Time
 	if env.MaxThreads < 1 {
 		env.MaxThreads = DefaultCapacity()
 	}
-	return newMutex(spec.Build(env, opts...), NewPool(env.MaxThreads, env.Topology), false)
-}
-
-// newMutex assembles an adapter, devirtualizing a Fissile inner lock
-// into the concrete fast-path field (see Mutex.fast).
-func newMutex(inner locks.Mutex, pool *Pool, shared bool) *Mutex {
-	m := &Mutex{inner: inner, pool: pool, shared: shared}
-	if f, ok := inner.(*fissile.Lock); ok {
-		m.fast = f
-	}
-	return m
+	return WrapWithPool(spec, env, NewPool(env.MaxThreads, env.Topology), opts...)
 }
 
 // WrapWithPool builds spec's lock over an existing slot pool, so many
 // adapted locks can share one set of thread identities (the pool
 // analogue of a shared CNA Arena; the env's MaxThreads must not exceed
 // the pool's capacity, or thread IDs would run past the lock's node
-// storage).
+// storage). A Fissile inner lock is devirtualized into the concrete
+// fast-path field (see Mutex.fast).
 func WrapWithPool(spec lockreg.Spec, env lockreg.Env, pool *Pool, opts ...lockreg.Option) *Mutex {
 	if env.MaxThreads < pool.Capacity() {
 		env.MaxThreads = pool.Capacity()
 	}
-	return newMutex(spec.Build(env, opts...), pool, true)
+	m := &Mutex{inner: spec.Build(env, opts...), pool: pool}
+	m.fast, _ = m.inner.(*fissile.Lock)
+	return m
 }
 
 var _ locks.NativeMutex = (*Mutex)(nil)

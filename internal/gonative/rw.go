@@ -2,181 +2,71 @@ package gonative
 
 // The reader-writer face of the adapter: NewRW("cna-rw") returns a
 // locks.NativeRWMutex — the sync.RWMutex method shape — over any
-// registered RW lock, reusing the same striped thread-slot pool as the
-// mutex adapter. The writer side works exactly like Mutex (claim a
-// slot, run the inner protocol, remember the holder). The read side
-// cannot use a single holder field — many goroutines hold the lock
-// together, and sync.RWMutex semantics let a different goroutine
-// RUnlock a hold — so claimed reader identities are kept in a small
-// latched LIFO bag: RLock pushes the Thread it read-locked with,
-// RUnlock pops any one and releases the read hold on it. Which thread
-// retires which hold is immaterial to the inner lock (read holds are
-// counted, not owned); what matters is that every checked-in Thread is
-// RUnlocked exactly once, so each per-socket read indicator sees its
-// increments and decrements in matched pairs.
+// registered RW lock, reusing the same thread-slot pool as the mutex
+// adapter. The writer side is a Mutex over the same lock. The read
+// side cannot use a single holder field — many goroutines hold the
+// lock together, and sync.RWMutex semantics let a different goroutine
+// RUnlock a hold — so the Threads holding reads are kept in a bitmap
+// of the pool's layout: RLock adds the Thread it read-locked with,
+// RUnlock takes any one and releases the read hold on it. Which thread retires which hold is immaterial to the inner
+// lock (read holds are counted, not owned); what matters is that every
+// added Thread is RUnlocked exactly once, so each per-socket read
+// indicator sees its increments and decrements in matched pairs.
 
 import (
-	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/locknames"
 	"repro/internal/lockreg"
 	"repro/internal/locks"
-	"repro/internal/spinwait"
 )
-
-// readerBag holds the Threads of in-flight read acquisitions: a LIFO
-// list under a test-and-set latch (the pool-stripe idiom), linked
-// through a by-thread-ID slice so the bag allocates nothing per
-// operation.
-type readerBag struct {
-	latch atomic.Uint32
-	head  *locks.Thread
-	next  []*locks.Thread // linkage by Thread.ID, guarded by latch
-}
-
-func (b *readerBag) lock() {
-	var w spinwait.Spinner
-	for b.latch.Swap(1) != 0 {
-		w.Pause()
-	}
-}
-
-func (b *readerBag) unlock() { b.latch.Store(0) }
-
-func (b *readerBag) push(th *locks.Thread) {
-	b.lock()
-	b.next[th.ID] = b.head
-	b.head = th
-	b.unlock()
-}
-
-// pop removes any in-flight reader Thread, nil when none are held.
-func (b *readerBag) pop() *locks.Thread {
-	b.lock()
-	th := b.head
-	if th != nil {
-		b.head = b.next[th.ID]
-		b.next[th.ID] = nil
-	}
-	b.unlock()
-	return th
-}
 
 // RWMutex adapts a registered RW lock to the goroutine-native
 // reader-writer contract. Build one with NewRW (or WrapRW); the zero
 // value is not usable, and an RWMutex must not be copied after first
-// use.
+// use. Its writer side — Lock, TryLock, LockTimeout, LockContext,
+// Unlock — is the embedded Mutex over the same lock.
 type RWMutex struct {
-	noCopy noCopy
-	inner  locks.RWMutex
-	pool   *Pool
-	rbag   readerBag
-	// holder is the writer-side claim, handed from Lock to Unlock
-	// through the mutex itself (same contract as Mutex.holder).
-	holder *locks.Thread
-}
-
-// Lock implements locks.NativeRWMutex: claim a thread slot, acquire
-// the inner write lock on it.
-func (m *RWMutex) Lock() {
-	th := m.pool.claim()
-	if th.Depth() != 0 {
-		panic(fmt.Sprintf("gonative: pooled thread %d claimed at nesting depth %d", th.ID, th.Depth()))
-	}
-	m.inner.Lock(th)
-	m.holder = th
-}
-
-// TryLock implements locks.NativeRWMutex: non-blocking at both levels.
-func (m *RWMutex) TryLock() bool {
-	th := m.pool.tryClaim()
-	if th == nil {
-		return false
-	}
-	if !m.inner.TryLock(th) {
-		m.pool.release(th)
-		return false
-	}
-	m.holder = th
-	return true
-}
-
-// LockTimeout implements locks.TimedNativeMutex; the slot claim and
-// the inner acquisition share one deadline (see Mutex.LockTimeout).
-func (m *RWMutex) LockTimeout(d time.Duration) bool {
-	if d <= 0 {
-		return m.TryLock()
-	}
-	deadline := time.Now().Add(d)
-	th := m.pool.claimTimeout(deadline)
-	if th == nil {
-		return false
-	}
-	if !m.inner.LockTimeout(th, time.Until(deadline)) {
-		m.pool.release(th)
-		return false
-	}
-	m.holder = th
-	return true
-}
-
-// LockContext implements locks.TimedNativeMutex.
-func (m *RWMutex) LockContext(ctx context.Context) error {
-	return locks.ContextLock(ctx, m)
-}
-
-// Unlock implements locks.NativeRWMutex: release the write hold on
-// the claiming thread, then return the slot.
-func (m *RWMutex) Unlock() {
-	th := m.holder
-	if th == nil {
-		panic("gonative: Unlock of an un-write-locked " + m.inner.Name())
-	}
-	m.holder = nil
-	m.inner.Unlock(th)
-	m.pool.release(th)
+	Mutex
+	rw      locks.RWMutex
+	readers bitmap // the Threads holding reads
 }
 
 // RLock implements locks.NativeRWMutex: claim a slot, take the read
-// hold on it, and check the identity into the reader bag for whichever
-// goroutine RUnlocks.
+// hold on it, and add it to the readers for whichever goroutine
+// RUnlocks.
 func (m *RWMutex) RLock() {
-	th := m.pool.claim()
-	if th.Depth() != 0 {
-		panic(fmt.Sprintf("gonative: pooled thread %d claimed at nesting depth %d", th.ID, th.Depth()))
-	}
-	m.inner.RLock(th)
-	m.rbag.push(th)
+	th := m.pool.claim(time.Time{})
+	m.rw.RLock(th)
+	m.readers.add(th)
 }
 
 // RUnlock implements locks.NativeRWMutex: retire any one in-flight
 // read hold (read holds are counted, not owned — sync.RWMutex
 // semantics) and free its slot.
 func (m *RWMutex) RUnlock() {
-	th := m.rbag.pop()
+	th := m.readers.take()
 	if th == nil {
-		panic("gonative: RUnlock of an un-read-locked " + m.inner.Name())
+		panic("gonative: RUnlock of an un-read-locked " + m.rw.Name())
 	}
-	m.inner.RUnlock(th)
-	m.pool.release(th)
+	m.rw.RUnlock(th)
+	m.pool.free.add(th)
 }
 
 // TryRLock implements locks.NativeRWMutex: fails cleanly when no slot
 // is free or the inner admission is refused.
 func (m *RWMutex) TryRLock() bool {
-	th := m.pool.tryClaim()
+	th := m.pool.free.take()
 	if th == nil {
 		return false
 	}
-	if !m.inner.RTryLock(th) {
-		m.pool.release(th)
+	if !m.rw.RTryLock(th) {
+		m.pool.free.add(th)
 		return false
 	}
-	m.rbag.push(th)
+	m.readers.add(th)
 	return true
 }
 
@@ -187,15 +77,15 @@ func (m *RWMutex) RLockTimeout(d time.Duration) bool {
 		return m.TryRLock()
 	}
 	deadline := time.Now().Add(d)
-	th := m.pool.claimTimeout(deadline)
+	th := m.pool.claim(deadline)
 	if th == nil {
 		return false
 	}
-	if !m.inner.RLockTimeout(th, time.Until(deadline)) {
-		m.pool.release(th)
+	if !m.rw.RLockTimeout(th, time.Until(deadline)) {
+		m.pool.free.add(th)
 		return false
 	}
-	m.rbag.push(th)
+	m.readers.add(th)
 	return true
 }
 
@@ -208,16 +98,8 @@ type rlocker struct{ m *RWMutex }
 func (r rlocker) Lock()   { r.m.RLock() }
 func (r rlocker) Unlock() { r.m.RUnlock() }
 
-// Name implements locks.NativeMutex: the inner lock's registry name.
-func (m *RWMutex) Name() string { return m.inner.Name() }
-
 // Inner exposes the adapted RW lock (see Mutex.Inner for the caveats).
-func (m *RWMutex) Inner() locks.RWMutex { return m.inner }
-
-// PoolStats reports (free, capacity) of the adapter's slot pool.
-func (m *RWMutex) PoolStats() (free, capacity int) {
-	return m.pool.Free(), m.pool.Capacity()
-}
+func (m *RWMutex) Inner() locks.RWMutex { return m.rw }
 
 // notRWError explains a non-RW spec handed to the RW builder, naming
 // the registered "-rw" variant when one exists.
@@ -258,22 +140,10 @@ func MustNewRW(name string, env lockreg.Env, opts ...lockreg.Option) locks.Nativ
 // kinds together: readers beyond the pool capacity wait for a slot,
 // not for the lock.
 func WrapRW(spec lockreg.Spec, env lockreg.Env, opts ...lockreg.Option) (locks.NativeRWMutex, error) {
-	if spec.Native != nil {
-		n := spec.Native(env, opts...)
-		if rwn, ok := n.(locks.NativeRWMutex); ok {
-			return rwn, nil
-		}
-		return nil, notRWError(spec)
-	}
 	if env.MaxThreads < 1 {
 		env.MaxThreads = DefaultCapacity()
 	}
-	inner, ok := spec.Build(env, opts...).(locks.RWMutex)
-	if !ok {
-		return nil, notRWError(spec)
-	}
-	pool := NewPool(env.MaxThreads, env.Topology)
-	return &RWMutex{inner: inner, pool: pool, rbag: readerBag{next: make([]*locks.Thread, pool.Capacity())}}, nil
+	return WrapRWWithPool(spec, env, NewPool(env.MaxThreads, env.Topology), opts...)
 }
 
 // WrapRWWithPool builds spec's RW lock over an existing slot pool (the
@@ -290,11 +160,11 @@ func WrapRWWithPool(spec lockreg.Spec, env lockreg.Env, pool *Pool, opts ...lock
 	if env.MaxThreads < pool.Capacity() {
 		env.MaxThreads = pool.Capacity()
 	}
-	inner, ok := spec.Build(env, opts...).(locks.RWMutex)
+	rw, ok := spec.Build(env, opts...).(locks.RWMutex)
 	if !ok {
 		return nil, notRWError(spec)
 	}
-	return &RWMutex{inner: inner, pool: pool, rbag: readerBag{next: make([]*locks.Thread, pool.Capacity())}}, nil
+	return &RWMutex{Mutex: Mutex{inner: rw, pool: pool}, rw: rw, readers: pool.free.emptyCopy()}, nil
 }
 
 var (

@@ -180,7 +180,7 @@ func TestNativeRWParallelReaders(t *testing.T) {
 }
 
 // TestNativeRWCrossGoroutineRUnlock pins the sync.RWMutex semantics
-// the reader bag exists for: a read hold taken on one goroutine may be
+// the reader bitmap exists for: a read hold taken on one goroutine may be
 // retired by another.
 func TestNativeRWCrossGoroutineRUnlock(t *testing.T) {
 	m := MustNewRW("CNA-rw", testEnv(4))

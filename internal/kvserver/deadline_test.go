@@ -21,7 +21,7 @@ func TestGetPutWithinDeadline(t *testing.T) {
 	srv.Put(42, 7)
 
 	sh := srv.shardFor(42)
-	l := sh.acquire()
+	l, _ := sh.acquire(false, time.Time{})
 
 	if _, _, err := srv.GetWithin(42, 2*time.Millisecond); !errors.Is(err, ErrDeadline) {
 		t.Fatalf("GetWithin under a held lock: err = %v, want ErrDeadline", err)

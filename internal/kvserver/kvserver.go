@@ -83,7 +83,7 @@ var ErrDeadline = errors.New("kvserver: deadline exceeded acquiring shard lock")
 // The pointer identity of a shardLock is what acquire validates
 // against: one swap, one new *shardLock.
 type shardLock struct {
-	m    locks.NativeMutex
+	m    locks.TimedNativeMutex
 	spec lockreg.Spec
 	// rw is the lock's reader-writer face when the spec has one
 	// ("cna-rw", "std-rw", ...), nil otherwise. When set, m is the same
@@ -92,9 +92,25 @@ type shardLock struct {
 	rw locks.NativeRWMutex
 }
 
-// releaseRead retires a hold taken by acquireRead/acquireReadWithin:
-// a read hold when the lock has a read side, the write hold otherwise.
-func (l *shardLock) releaseRead(viaRead bool) {
+// lock takes a read hold (viaRead) or the write hold on l. A zero
+// deadline waits as long as it takes; otherwise lock gives up, false,
+// once the deadline passes.
+func (l *shardLock) lock(viaRead bool, deadline time.Time) bool {
+	switch {
+	case deadline.IsZero() && viaRead:
+		l.rw.RLock()
+	case deadline.IsZero():
+		l.m.Lock()
+	case viaRead:
+		return l.rw.RLockTimeout(time.Until(deadline))
+	default:
+		return l.m.LockTimeout(time.Until(deadline))
+	}
+	return true
+}
+
+// release retires a hold taken by lock.
+func (l *shardLock) release(viaRead bool) {
 	if viaRead {
 		l.rw.RUnlock()
 	} else {
@@ -160,86 +176,31 @@ func (s *shard) insert(key, value uint64) {
 	s.vals = append(s.vals, value)
 }
 
-// acquire locks the shard's current lock, retrying when a swap won the
-// race between the load and the acquisition. The returned shardLock is
-// the one the caller actually holds — Unlock must go to exactly it.
-func (s *shard) acquire() *shardLock {
+// acquire locks the shard's current lock — for reading when read is
+// set and the lock has a read side, exclusively otherwise — retrying
+// when a swap won the race between the load and the acquisition.
+// viaRead reports which hold the caller got (release with
+// l.release(viaRead)), and the returned shardLock is the one the
+// caller actually holds. A nil lock means the deadline passed first; a
+// zero deadline never expires and never reads the clock. The retry
+// loop keeps the original deadline, so a request that loses a swap
+// race mid-wait does not restart its budget. The swap drain takes the
+// write side, which waits out read holds too, so data is only touched
+// under the lock that is current at validation time.
+func (s *shard) acquire(read bool, deadline time.Time) (*shardLock, bool) {
 	for {
 		l := s.cur.Load()
-		l.m.Lock()
+		viaRead := read && l.rw != nil
+		if !l.lock(viaRead, deadline) {
+			return nil, false
+		}
 		if s.cur.Load() == l {
-			return l
+			return l, viaRead
 		}
 		// A swap completed while this goroutine was waiting: the lock it
 		// now holds no longer guards the shard. Release and retry on the
 		// newly advertised one.
-		l.m.Unlock()
-	}
-}
-
-// acquireWithin is acquire with a deadline. The swap-retry loop
-// recomputes the remaining budget on each pass, so a request that
-// loses a swap race mid-wait still honours its original deadline
-// rather than restarting it. Every registered lock is timed end to end
-// (locks.TimedNativeMutex); a hand-installed untimed lock degrades to
-// a blocking acquire, never to corruption.
-func (s *shard) acquireWithin(deadline time.Time) (*shardLock, bool) {
-	for {
-		l := s.cur.Load()
-		if tm, ok := l.m.(locks.TimedNativeMutex); ok {
-			if !tm.LockTimeout(time.Until(deadline)) {
-				return nil, false
-			}
-		} else {
-			l.m.Lock()
-		}
-		if s.cur.Load() == l {
-			return l, true
-		}
-		l.m.Unlock()
-	}
-}
-
-// acquireRead locks the shard's current lock for reading when it has a
-// read side, falling back to the exclusive path otherwise; viaRead
-// reports which hold the caller got (release with releaseRead). The
-// same swap-retry validation as acquire applies: a read hold on a lock
-// that is no longer advertised is retired and the acquisition retried,
-// so data is only read under the lock that is current at validation
-// time. The swap drain takes the write side, which waits out read
-// holds too — readers never overlap a swap's publish window.
-func (s *shard) acquireRead() (l *shardLock, viaRead bool) {
-	for {
-		l := s.cur.Load()
-		if l.rw == nil {
-			return s.acquire(), false
-		}
-		l.rw.RLock()
-		if s.cur.Load() == l {
-			return l, true
-		}
-		l.rw.RUnlock()
-	}
-}
-
-// acquireReadWithin is acquireRead with a deadline, sharing acquire-
-// Within's budget semantics: the swap-retry loop recomputes the
-// remaining budget, so losing a swap race mid-wait does not restart
-// the clock.
-func (s *shard) acquireReadWithin(deadline time.Time) (l *shardLock, viaRead, ok bool) {
-	for {
-		l := s.cur.Load()
-		if l.rw == nil {
-			l2, ok := s.acquireWithin(deadline)
-			return l2, false, ok
-		}
-		if !l.rw.RLockTimeout(time.Until(deadline)) {
-			return nil, false, false
-		}
-		if s.cur.Load() == l {
-			return l, true, true
-		}
-		l.rw.RUnlock()
+		l.release(viaRead)
 	}
 }
 
@@ -333,16 +294,16 @@ func (s *Server) shardFor(key uint64) *shard {
 // read side, concurrent Gets share the shard under read holds.
 func (s *Server) Get(key uint64) (uint64, bool) {
 	sh := s.shardFor(key)
-	l, viaRead := sh.acquireRead()
+	l, viaRead := sh.acquire(true, time.Time{})
 	v, ok := sh.get(key)
-	l.releaseRead(viaRead)
+	l.release(viaRead)
 	return v, ok
 }
 
 // Put stores value under key.
 func (s *Server) Put(key, value uint64) {
 	sh := s.shardFor(key)
-	l := sh.acquire()
+	l, _ := sh.acquire(false, time.Time{})
 	sh.put(key, value)
 	l.m.Unlock()
 }
@@ -353,20 +314,20 @@ func (s *Server) Put(key, value uint64) {
 // probe.
 func (s *Server) GetWithin(key uint64, d time.Duration) (uint64, bool, error) {
 	sh := s.shardFor(key)
-	l, viaRead, ok := sh.acquireReadWithin(time.Now().Add(d))
-	if !ok {
+	l, viaRead := sh.acquire(true, time.Now().Add(d))
+	if l == nil {
 		return 0, false, ErrDeadline
 	}
 	v, found := sh.get(key)
-	l.releaseRead(viaRead)
+	l.release(viaRead)
 	return v, found, nil
 }
 
 // PutWithin is Put with an admission deadline (see GetWithin).
 func (s *Server) PutWithin(key, value uint64, d time.Duration) error {
 	sh := s.shardFor(key)
-	l, ok := sh.acquireWithin(time.Now().Add(d))
-	if !ok {
+	l, _ := sh.acquire(false, time.Now().Add(d))
+	if l == nil {
 		return ErrDeadline
 	}
 	sh.put(key, value)
@@ -380,7 +341,7 @@ func (s *Server) PutWithin(key, value uint64, d time.Duration) error {
 // doubled Update would break the final sum.
 func (s *Server) Update(key uint64, f func(old uint64, ok bool) uint64) uint64 {
 	sh := s.shardFor(key)
-	l := sh.acquire()
+	l, _ := sh.acquire(false, time.Time{})
 	var v uint64
 	if p := sh.slot(key); p != nil {
 		v = f(atomic.LoadUint64(p), true)
@@ -402,9 +363,9 @@ func (s *Server) Len() int {
 	n := 0
 	for i := range s.shards {
 		sh := &s.shards[i]
-		l, viaRead := sh.acquireRead()
+		l, viaRead := sh.acquire(true, time.Time{})
 		n += len(sh.index)
-		l.releaseRead(viaRead)
+		l.release(viaRead)
 	}
 	return n
 }

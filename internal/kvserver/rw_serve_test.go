@@ -29,11 +29,11 @@ func TestRWShardSelection(t *testing.T) {
 		t.Fatalf("LockNames = %v", names)
 	}
 	// The exclusive fallback on a non-RW shard.
-	l, viaRead := srv.shards[1].acquireRead()
+	l, viaRead := srv.shards[1].acquire(true, time.Time{})
 	if viaRead {
-		t.Fatal("acquireRead reported a read hold on a lock without a read side")
+		t.Fatal("acquire reported a read hold on a lock without a read side")
 	}
-	l.releaseRead(viaRead)
+	l.release(viaRead)
 }
 
 // TestRWServeParallelReads pins end-to-end reader parallelism: on a
@@ -51,9 +51,9 @@ func TestRWServeParallelReads(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			l, viaRead := sh.acquireRead()
+			l, viaRead := sh.acquire(true, time.Time{})
 			if !viaRead {
-				t.Error("acquireRead fell back to the exclusive path on an RW shard")
+				t.Error("acquire fell back to the exclusive path on an RW shard")
 			}
 			n := inside.Add(1)
 			for {
@@ -67,7 +67,7 @@ func TestRWServeParallelReads(t *testing.T) {
 					high.Store(h)
 				}
 			}
-			l.releaseRead(viaRead)
+			l.release(viaRead)
 		}()
 	}
 	wg.Wait()
@@ -89,7 +89,7 @@ func TestRWReadPathRevalidates(t *testing.T) {
 
 	srv.SwapShard(0, lockreg.MustSpec("std-rw"))
 
-	// Replaying acquireRead's body from the stale pointer: the stale
+	// Replaying acquire's read body from the stale pointer: the stale
 	// read hold is grantable, but validation must reject it.
 	old.rw.RLock()
 	if sh.cur.Load() == old {
@@ -97,14 +97,14 @@ func TestRWReadPathRevalidates(t *testing.T) {
 	}
 	old.rw.RUnlock()
 
-	held, viaRead := sh.acquireRead()
+	held, viaRead := sh.acquire(true, time.Time{})
 	if held == old {
-		t.Fatal("acquireRead returned the swapped-out lock")
+		t.Fatal("acquire returned the swapped-out lock")
 	}
 	if !viaRead || held != sh.cur.Load() {
-		t.Fatalf("acquireRead: viaRead=%v, current=%v", viaRead, held == sh.cur.Load())
+		t.Fatalf("acquire: viaRead=%v, current=%v", viaRead, held == sh.cur.Load())
 	}
-	held.releaseRead(viaRead)
+	held.release(viaRead)
 }
 
 // TestRWGetWithinDeadline drives the timed read path against a held
@@ -115,7 +115,7 @@ func TestRWGetWithinDeadline(t *testing.T) {
 	sh := &srv.shards[0]
 	srv.Put(7, 70)
 
-	l := sh.acquire() // a writer camps on the shard
+	l, _ := sh.acquire(false, time.Time{}) // a writer camps on the shard
 	if _, _, err := srv.GetWithin(7, 2*time.Millisecond); err != ErrDeadline {
 		t.Fatalf("GetWithin under a camped writer: err = %v, want ErrDeadline", err)
 	}

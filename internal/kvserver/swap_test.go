@@ -137,7 +137,7 @@ func TestSwapDrainsHolder(t *testing.T) {
 	srv := New(testConfig(1, "cna"))
 	sh := &srv.shards[0]
 
-	l := sh.acquire() // stand in for a request mid-critical-section
+	l, _ := sh.acquire(false, time.Time{}) // stand in for a request mid-critical-section
 	swapped := make(chan uint64)
 	go func() { swapped <- srv.SwapShard(0, lockreg.MustSpec("std")) }()
 
@@ -179,7 +179,7 @@ func TestAcquireRevalidates(t *testing.T) {
 	old.m.Unlock()
 
 	// The real acquire lands on the current lock.
-	held := sh.acquire()
+	held, _ := sh.acquire(false, time.Time{})
 	if held == old {
 		t.Fatal("acquire returned the swapped-out lock")
 	}

@@ -296,10 +296,17 @@ func (l *HMCS) LockTimeout(t *locks.Thread, d time.Duration) bool {
 // promoted to socket representative with statusAcqPar — exactly the
 // handoff an exhausted-budget Unlock performs — and we leave having
 // never owned the lock. Either way a failed TryLock ends with no queue
-// presence and the nesting slot returned.
+// presence and the nesting slot returned. A node still queued from a
+// timed-out acquire fails TryLock at once, as in the MCS lock.
 func (l *HMCS) TryLock(t *locks.Thread) bool {
 	lf := l.leaves[t.Socket]
 	me := &l.nodes[t.ID][t.AcquireSlot()]
+	if me.tstate.Load() != tsClean {
+		// Node still queued from a timed-out acquire: fail fast without
+		// touching it (its next link still carries the queue).
+		t.ReleaseSlot()
+		return false
+	}
 	me.next.Store(nil)
 	me.status.Store(cohortStart)
 	if !lf.tail.CompareAndSwap(nil, me) {

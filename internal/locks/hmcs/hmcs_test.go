@@ -1,8 +1,10 @@
 package hmcs
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/locks"
 	"repro/internal/numa"
@@ -116,5 +118,43 @@ func TestNestedHMCS(t *testing.T) {
 	wg.Wait()
 	if counter != 600 {
 		t.Fatalf("counter = %d, want 600", counter)
+	}
+}
+
+// TestTryLockLeavesAbandonedNodeQueued: a TryLock by a thread whose
+// node is still queued as the tombstone of a timed-out acquire must
+// fail without touching that node. Rewriting its next link would cut
+// the waiters queued behind it off the leaf queue, and the holder's
+// release walk would wait forever for a link that never comes.
+func TestTryLockLeavesAbandonedNodeQueued(t *testing.T) {
+	lock := New(2, 3, DefaultThreshold)
+	holder, quitter, waiter := locks.NewThread(0, 0), locks.NewThread(1, 0), locks.NewThread(2, 0)
+	lock.Lock(holder)
+	if lock.LockTimeout(quitter, time.Millisecond) {
+		t.Fatal("LockTimeout succeeded on a held lock")
+	}
+	tombstone := &lock.nodes[quitter.ID][0]
+	acquired := make(chan struct{})
+	go func() {
+		lock.Lock(waiter)
+		close(acquired)
+	}()
+	for tombstone.next.Load() == nil { // waiter links in behind the tombstone
+		runtime.Gosched()
+	}
+	if lock.TryLock(quitter) {
+		t.Fatal("TryLock succeeded on a held lock")
+	}
+	go lock.Unlock(holder)
+	select {
+	case <-acquired:
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter queued behind the abandoned node never acquired: the queue was cut")
+	}
+	lock.Unlock(waiter)
+	for _, th := range []*locks.Thread{holder, quitter, waiter} {
+		if d := th.Depth(); d != 0 {
+			t.Fatalf("thread %d left at depth %d", th.ID, d)
+		}
 	}
 }

@@ -34,8 +34,11 @@ type slNode struct {
 // with one writer; writers must be serialised externally (the DB mutex
 // does this, as in leveldb).
 type SkipList struct {
-	head   *slNode
-	level  int
+	head *slNode
+	// level is the list's current height. Lock-free readers load it
+	// while the writer grows it (leveldb's max_height_ is atomic for
+	// the same reason).
+	level  atomic.Int32
 	length int
 	rng    *prng.Xoroshiro
 }
@@ -43,7 +46,9 @@ type SkipList struct {
 // NewSkipList returns an empty skiplist with a deterministic level
 // generator.
 func NewSkipList(seed uint64) *SkipList {
-	return &SkipList{head: &slNode{}, level: 1, rng: prng.New(seed)}
+	s := &SkipList{head: &slNode{}, rng: prng.New(seed)}
+	s.level.Store(1)
+	return s
 }
 
 // Len returns the number of keys (writer-side accuracy only).
@@ -62,7 +67,7 @@ func (s *SkipList) randomLevel() int {
 // prev with the rightmost node before it on every level.
 func (s *SkipList) findGreaterOrEqual(key uint64, prev *[maxLevel]*slNode) *slNode {
 	x := s.head
-	for lvl := s.level - 1; lvl >= 0; lvl-- {
+	for lvl := int(s.level.Load()) - 1; lvl >= 0; lvl-- {
 		for {
 			nxt := x.next[lvl].Load()
 			if nxt != nil && nxt.key < key {
@@ -98,11 +103,11 @@ func (s *SkipList) Put(key, value uint64) {
 		return
 	}
 	lvl := s.randomLevel()
-	if lvl > s.level {
-		for i := s.level; i < lvl; i++ {
+	if cur := int(s.level.Load()); lvl > cur {
+		for i := cur; i < lvl; i++ {
 			prev[i] = s.head
 		}
-		s.level = lvl
+		s.level.Store(int32(lvl))
 	}
 	node := &slNode{key: key}
 	node.value.Store(value)

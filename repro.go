@@ -52,7 +52,7 @@
 // Every queue-lock family also registers a Fissile composite under the
 // "-fissile" suffix ("cna-fissile", "mcs-fissile", ...): a TAS outer
 // word that uncontended acquires take with a single CAS — no queue
-// node, no thread slot, no freelist traffic — falling back to the full
+// node, no thread slot, no slot-pool traffic — falling back to the full
 // queue under contention, with a bounded-barging hand-back so queued
 // waiters cannot starve (WithPatience tunes the bound). Through
 // NewMutex this is the drop-in form that matches sync.Mutex's
