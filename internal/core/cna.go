@@ -382,7 +382,7 @@ func (l *Lock) Unlock(t *locks.Thread) {
 	l.unlockNode(me, t)
 }
 
-// LockTimeout implements locks.TimedMutex via the tstate abandonment
+// LockTimeout implements locks.Mutex via the tstate abandonment
 // protocol (see the tsClean constant block): arm the node, enqueue, run
 // the timed wait, and on expiry race the releaser for the node's fate.
 // A waiter that accepts an at-the-buzzer grant inherits whatever spin
@@ -691,5 +691,4 @@ func (l *Lock) findSuccessor(next, sp *Node, mySocket int32) (*Node, *Node) {
 }
 
 var _ locks.Mutex = (*Lock)(nil)
-var _ locks.TimedMutex = (*Lock)(nil)
 var _ locks.StatsEnabler = (*Lock)(nil)

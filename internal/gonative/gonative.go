@@ -183,20 +183,23 @@ var stripeHint = func() uintptr {
 	return uintptr(unsafe.Pointer(&probe)) >> 10
 }
 
-// claim takes a free slot, waiting (bounded spin, then scheduler
-// yields) for a release while every slot is busy. A zero deadline
-// waits forever; otherwise claim returns nil once the deadline passes,
-// with the clock probes amortized as in locks.PollTimeout. Every
+// claim takes a free slot by deadline, waiting (bounded spin, then
+// scheduler yields) for a release while every slot is busy: the zero
+// deadline waits forever, locks.NoWait makes one pass over the stripes,
+// and any other deadline gives up, nil, once it passes. Every
 // acquisition runs on a fresh slot at depth 0, so a nested slot means
 // the adapter itself is broken: claim panics rather than corrupt a
 // queue node.
 func (p *Pool) claim(deadline time.Time) *locks.Thread {
 	th := p.free.take()
+	if th == nil && deadline == locks.NoWait {
+		return nil
+	}
 	var w spinwait.Spinner
-	for n := 1; th == nil; n++ {
+	for th == nil {
 		w.Pause()
 		th = p.free.take()
-		if th == nil && !deadline.IsZero() && (w.Yielding() || n%64 == 0) && !time.Now().Before(deadline) {
+		if th == nil && w.Expired(deadline) {
 			return nil
 		}
 	}
@@ -252,85 +255,55 @@ type Mutex struct {
 }
 
 // Lock implements locks.NativeMutex (and sync.Locker): claim a thread
-// slot, run the real acquisition on it. A Fissile inner lock claims
-// the slot only on the contended fallback — and returns it before the
-// critical section, because Fissile holds nothing but its outer word
-// across the caller's critical section.
-func (m *Mutex) Lock() {
-	if f := m.fast; f != nil {
-		if f.TryFast() {
-			return
-		}
-		th := m.pool.claim(time.Time{})
-		f.LockSlow(th)
-		m.pool.free.add(th)
-		return
-	}
-	th := m.pool.claim(time.Time{})
-	m.inner.Lock(th)
-	m.holder = th
-}
+// slot, run the real acquisition on it.
+func (m *Mutex) Lock() { m.acquire(time.Time{}) }
 
 // TryLock implements locks.NativeMutex: non-blocking at both levels —
 // it fails cleanly when no thread slot is free, and otherwise runs the
 // inner lock's TryLock, which never queues (and never touches waiter
-// state; see waiter.TryPolicy).
-func (m *Mutex) TryLock() bool {
-	if f := m.fast; f != nil {
-		// Pure fast path: a fissile TryLock is the outer-word CAS and
-		// nothing else — no slot, no pool, so it cannot fail for lack
-		// of a slot either.
-		return f.TryFast()
-	}
-	th := m.pool.free.take()
-	if th == nil {
-		return false
-	}
-	if !m.inner.TryLock(th) {
-		m.pool.free.add(th)
-		return false
-	}
-	m.holder = th
-	return true
+// state; see waiter.TryPolicy). A fissile TryLock is the outer-word
+// CAS and nothing else, so it cannot fail for lack of a slot.
+func (m *Mutex) TryLock() bool { return m.acquire(locks.NoWait) }
+
+// LockTimeout implements locks.NativeMutex. It tries once before it
+// reads the clock, so an uncontended timed acquire costs what TryLock
+// does; a non-positive d stops there. After that the slot claim and the
+// inner acquisition share one deadline: a slot-starved adapter spends
+// part (possibly all) of the budget waiting for an Unlock to free a
+// slot, so the bounded-wait contract holds even when the inner lock is
+// never reached.
+func (m *Mutex) LockTimeout(d time.Duration) bool {
+	return m.TryLock() || d > 0 && m.acquire(time.Now().Add(d))
 }
 
-// LockTimeout implements locks.TimedNativeMutex. The slot claim and
-// the inner acquisition share one deadline: a slot-starved adapter
-// spends part (possibly all) of the budget waiting for an Unlock to
-// free a slot, so the bounded-wait contract holds even when the inner
-// lock is never reached. Every registered lock implements
-// locks.TimedMutex; the TryLock-poll fallback only guards Mutexes
-// hand-built over locks outside the registry. A non-positive d
-// degrades to TryLock.
-func (m *Mutex) LockTimeout(d time.Duration) bool {
-	if d <= 0 {
-		return m.TryLock()
-	}
+// acquire is the one acquire path behind Lock, TryLock and LockTimeout:
+// claim a slot and run the inner acquisition on it, both by deadline
+// (the zero deadline waits forever and reads no clock; locks.NoWait
+// tries once). A Fissile inner lock tries its one-CAS fast path first
+// and claims a slot only for the contended fallback — a try never does
+// — returning it before the critical section, because Fissile holds
+// nothing but its outer word across the caller's critical section.
+func (m *Mutex) acquire(deadline time.Time) bool {
 	if f := m.fast; f != nil {
 		if f.TryFast() {
 			return true
 		}
-		deadline := time.Now().Add(d)
+		if deadline == locks.NoWait {
+			return false
+		}
 		th := m.pool.claim(deadline)
 		if th == nil {
 			return false
 		}
-		ok := f.LockSlowTimeout(th, time.Until(deadline))
+		ok := f.LockSlow(th, deadline)
 		m.pool.free.add(th)
 		return ok
 	}
-	deadline := time.Now().Add(d)
 	th := m.pool.claim(deadline)
 	if th == nil {
 		return false
 	}
-	var ok bool
-	if tm, timed := m.inner.(locks.TimedMutex); timed {
-		ok = tm.LockTimeout(th, time.Until(deadline))
-	} else {
-		ok = locks.PollTimeout(func() bool { return m.inner.TryLock(th) }, time.Until(deadline))
-	}
-	if !ok {
+	if !locks.LockUntil(m.inner, th, deadline) {
 		m.pool.free.add(th)
 		return false
 	}
@@ -349,7 +322,7 @@ func (m *Mutex) LockContext(ctx context.Context) error {
 // and the mutex is untouched. The wait is chunked into millisecond
 // timed acquires (locks.ContextLock), so cancellation — as opposed to
 // deadline expiry — is observed with at most that lag.
-func LockWithContext(ctx context.Context, m locks.TimedNativeMutex) error {
+func LockWithContext(ctx context.Context, m locks.NativeMutex) error {
 	return locks.ContextLock(ctx, m)
 }
 
@@ -403,7 +376,7 @@ func DefaultCapacity() int {
 // adapter. A zero env.MaxThreads sizes the pool at DefaultCapacity —
 // unlike the raw Build path, where it means one thread, the native
 // adapter cannot know its caller count up front.
-func New(name string, env lockreg.Env, opts ...lockreg.Option) (locks.TimedNativeMutex, error) {
+func New(name string, env lockreg.Env, opts ...lockreg.Option) (locks.NativeMutex, error) {
 	spec, ok := lockreg.Lookup(name)
 	if !ok {
 		return nil, lockreg.UnknownLockError(name)
@@ -412,7 +385,7 @@ func New(name string, env lockreg.Env, opts ...lockreg.Option) (locks.TimedNativ
 }
 
 // MustNew is New for statically known names; it panics on unknown ones.
-func MustNew(name string, env lockreg.Env, opts ...lockreg.Option) locks.TimedNativeMutex {
+func MustNew(name string, env lockreg.Env, opts ...lockreg.Option) locks.NativeMutex {
 	m, err := New(name, env, opts...)
 	if err != nil {
 		panic(err)
@@ -422,7 +395,7 @@ func MustNew(name string, env lockreg.Env, opts ...lockreg.Option) locks.TimedNa
 
 // Wrap builds spec in goroutine-native form (see New) with a private
 // slot pool.
-func Wrap(spec lockreg.Spec, env lockreg.Env, opts ...lockreg.Option) locks.TimedNativeMutex {
+func Wrap(spec lockreg.Spec, env lockreg.Env, opts ...lockreg.Option) locks.NativeMutex {
 	if spec.Native != nil {
 		return spec.Native(env, opts...)
 	}
@@ -448,4 +421,3 @@ func WrapWithPool(spec lockreg.Spec, env lockreg.Env, pool *Pool, opts ...lockre
 }
 
 var _ locks.NativeMutex = (*Mutex)(nil)
-var _ locks.TimedNativeMutex = (*Mutex)(nil)

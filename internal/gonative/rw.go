@@ -8,10 +8,11 @@ package gonative
 // lock together, and sync.RWMutex semantics let a different goroutine
 // RUnlock a hold — so the Threads holding reads are kept in a bitmap
 // of the pool's layout: RLock adds the Thread it read-locked with,
-// RUnlock takes any one and releases the read hold on it. Which thread retires which hold is immaterial to the inner
-// lock (read holds are counted, not owned); what matters is that every
-// added Thread is RUnlocked exactly once, so each per-socket read
-// indicator sees its increments and decrements in matched pairs.
+// RUnlock takes any one and releases the read hold on it. Which thread
+// retires which hold is immaterial to the inner lock (read holds are
+// counted, not owned); what matters is that every added Thread is
+// RUnlocked exactly once, so each per-socket read indicator sees its
+// increments and decrements in matched pairs.
 
 import (
 	"fmt"
@@ -37,11 +38,7 @@ type RWMutex struct {
 // RLock implements locks.NativeRWMutex: claim a slot, take the read
 // hold on it, and add it to the readers for whichever goroutine
 // RUnlocks.
-func (m *RWMutex) RLock() {
-	th := m.pool.claim(time.Time{})
-	m.rw.RLock(th)
-	m.readers.add(th)
-}
+func (m *RWMutex) RLock() { m.racquire(time.Time{}) }
 
 // RUnlock implements locks.NativeRWMutex: retire any one in-flight
 // read hold (read holds are counted, not owned — sync.RWMutex
@@ -57,31 +54,23 @@ func (m *RWMutex) RUnlock() {
 
 // TryRLock implements locks.NativeRWMutex: fails cleanly when no slot
 // is free or the inner admission is refused.
-func (m *RWMutex) TryRLock() bool {
-	th := m.pool.free.take()
-	if th == nil {
-		return false
-	}
-	if !m.rw.RTryLock(th) {
-		m.pool.free.add(th)
-		return false
-	}
-	m.readers.add(th)
-	return true
+func (m *RWMutex) TryRLock() bool { return m.racquire(locks.NoWait) }
+
+// RLockTimeout implements locks.NativeRWMutex: one TryRLock before the
+// clock is read (a non-positive d stops there), then slot claim and
+// inner admission share one deadline, as in Mutex.LockTimeout.
+func (m *RWMutex) RLockTimeout(d time.Duration) bool {
+	return m.TryRLock() || d > 0 && m.racquire(time.Now().Add(d))
 }
 
-// RLockTimeout implements locks.NativeRWMutex; slot claim and inner
-// admission share one deadline.
-func (m *RWMutex) RLockTimeout(d time.Duration) bool {
-	if d <= 0 {
-		return m.TryRLock()
-	}
-	deadline := time.Now().Add(d)
+// racquire is the read side's one acquire path, the analogue of
+// Mutex.acquire.
+func (m *RWMutex) racquire(deadline time.Time) bool {
 	th := m.pool.claim(deadline)
 	if th == nil {
 		return false
 	}
-	if !m.rw.RLockTimeout(th, time.Until(deadline)) {
+	if !locks.RLockUntil(m.rw, th, deadline) {
 		m.pool.free.add(th)
 		return false
 	}
@@ -167,7 +156,4 @@ func WrapRWWithPool(spec lockreg.Spec, env lockreg.Env, pool *Pool, opts ...lock
 	return &RWMutex{Mutex: Mutex{inner: rw, pool: pool}, rw: rw, readers: pool.free.emptyCopy()}, nil
 }
 
-var (
-	_ locks.NativeRWMutex    = (*RWMutex)(nil)
-	_ locks.TimedNativeMutex = (*RWMutex)(nil)
-)
+var _ locks.NativeRWMutex = (*RWMutex)(nil)

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/lockreg"
-	"repro/internal/locks"
 )
 
 func TestLockTimeoutExpiryLeavesNoTrace(t *testing.T) {
@@ -23,16 +22,12 @@ func TestLockTimeoutExpiryLeavesNoTrace(t *testing.T) {
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
 			m := Wrap(spec, testEnv(4))
-			tm, ok := m.(locks.TimedNativeMutex)
-			if !ok {
-				t.Fatalf("%s native build does not implement TimedNativeMutex", spec.Name)
-			}
 			m.Lock()
-			if tm.LockTimeout(2 * time.Millisecond) {
+			if m.LockTimeout(2 * time.Millisecond) {
 				t.Fatalf("%s: timed acquire succeeded with the lock held throughout", spec.Name)
 			}
 			m.Unlock()
-			if !tm.LockTimeout(5 * time.Second) {
+			if !m.LockTimeout(5 * time.Second) {
 				t.Fatalf("%s: timed acquire of the released lock expired", spec.Name)
 			}
 			m.Unlock()
@@ -122,7 +117,6 @@ func TestNativeTimeoutStorm(t *testing.T) {
 			const workers = capacity + 3
 			iters := confIters(t) / 4
 			m := Wrap(spec, testEnv(capacity))
-			tm := m.(locks.TimedNativeMutex)
 
 			var counter uint64
 			var acquired, shed atomic.Uint64
@@ -136,7 +130,7 @@ func TestNativeTimeoutStorm(t *testing.T) {
 						case 0:
 							m.Lock()
 						default:
-							if !tm.LockTimeout(time.Duration(i%5) * time.Microsecond) {
+							if !m.LockTimeout(time.Duration(i%5) * time.Microsecond) {
 								shed.Add(1)
 								continue
 							}

@@ -264,15 +264,9 @@ type Report struct {
 	Regressions []Regression `json:"regressions,omitempty"`
 }
 
-// ReportSchema is the current Report layout version: v2 adds the
-// workload field, per-op latency percentiles and the regression diff.
-// v1 reports remain readable (see ReadReport) — they simply lack those
-// fields.
+// ReportSchema is the Report layout version: v2 added the workload
+// field, per-op latency percentiles and the regression diff.
 const ReportSchema = "repro-bench/v2"
-
-// ReportSchemaV1 is the original layout, kept for reading older
-// checked-in reports and CI artifacts.
-const ReportSchemaV1 = "repro-bench/v1"
 
 // Regression is one benchmark's throughput movement between two reports.
 type Regression struct {
@@ -313,43 +307,16 @@ func CompareResults(old, new []Result, minDelta float64) []Regression {
 	return out
 }
 
-// ReadReport decodes a repro-bench report, accepting both the current
-// v2 schema and the v1 layout it extends: every v1 field keeps its name
-// and type in v2, so a v1 report decodes into the same struct with the
-// v2-only fields left zero.
-//
-// v1 results are upgraded to v2 naming so they stay comparable: the v1
-// contended sweep was the shared-counter spin workload under the name
-// "contended/tN/LOCK", which v2 spells "contended/spin/tN/LOCK".
-// Without the rename, CompareResults would silently match zero
-// contended benchmarks across the schema bump. The Schema field keeps
-// reporting what was actually read.
+// ReadReport decodes a repro-bench report of the current schema.
 func ReadReport(r io.Reader) (Report, error) {
 	var rep Report
 	if err := json.NewDecoder(r).Decode(&rep); err != nil {
 		return Report{}, fmt.Errorf("harness: decoding report: %w", err)
 	}
-	switch rep.Schema {
-	case ReportSchema:
-		return rep, nil
-	case ReportSchemaV1:
-		for i := range rep.Results {
-			res := &rep.Results[i]
-			if res.Workload != "" {
-				continue
-			}
-			if strings.HasPrefix(res.Name, "uncontended/") {
-				res.Workload = "uncontended"
-			} else if rest, ok := strings.CutPrefix(res.Name, "contended/"); ok {
-				res.Workload = "spin"
-				res.Name = "contended/spin/" + rest
-			}
-		}
-		return rep, nil
-	default:
-		return Report{}, fmt.Errorf("harness: unsupported report schema %q (want %s or %s)",
-			rep.Schema, ReportSchema, ReportSchemaV1)
+	if rep.Schema != ReportSchema {
+		return Report{}, fmt.Errorf("harness: unsupported report schema %q (want %s)", rep.Schema, ReportSchema)
 	}
+	return rep, nil
 }
 
 // NewReport wraps results with the host context of the current process.

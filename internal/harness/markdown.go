@@ -74,7 +74,7 @@ func WriteMarkdown(w io.Writer, r Report, info map[string]WorkloadInfo) error {
 	byWorkload := map[string][]Result{}
 	var workloads []string
 	for _, res := range r.Results {
-		if res.Workload == "uncontended" || (res.Workload == "" && res.NsPerOp > 0) {
+		if res.Workload == "uncontended" {
 			uncontended = append(uncontended, res)
 			continue
 		}
@@ -83,11 +83,6 @@ func WriteMarkdown(w io.Writer, r Report, info map[string]WorkloadInfo) error {
 			continue
 		}
 		wl := res.Workload
-		if wl == "" {
-			// v1 reports carry no workload field; everything contended
-			// there was the shared-counter spin workload.
-			wl = "spin"
-		}
 		if _, seen := byWorkload[wl]; !seen {
 			workloads = append(workloads, wl)
 		}

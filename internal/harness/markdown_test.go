@@ -145,24 +145,3 @@ func TestTopMoversKeepsRegressionsBeforeImprovements(t *testing.T) {
 		t.Fatalf("regression-only cap wrong: %+v", kept[:2])
 	}
 }
-
-// TestWriteMarkdownV1Report pins backward rendering: a v1 report (no
-// workload fields) renders its contended results under the legacy spin
-// workload and its uncontended results by NsPerOp.
-func TestWriteMarkdownV1Report(t *testing.T) {
-	rep, err := ReadReport(strings.NewReader(v1Report))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	if err := WriteMarkdown(&b, rep, nil); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "| MCS | 23.1 | 43.370 |") {
-		t.Errorf("v1 uncontended row missing:\n%s", out)
-	}
-	if !strings.Contains(out, "### Workload `spin`") {
-		t.Errorf("v1 contended rows not grouped under spin:\n%s", out)
-	}
-}

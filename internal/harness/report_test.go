@@ -5,81 +5,6 @@ import (
 	"testing"
 )
 
-// v1Report is a verbatim slice of the pre-v2 checked-in
-// BENCH_locks.json layout: no workload, percentile or regression
-// fields.
-const v1Report = `{
-  "schema": "repro-bench/v1",
-  "go_version": "go1.24.0",
-  "gomaxprocs": 1,
-  "short": false,
-  "results": [
-    {
-      "name": "uncontended/MCS",
-      "lock": "MCS",
-      "threads": 1,
-      "ops_per_us": 43.37,
-      "ns_per_op": 23.05,
-      "rel_stddev": 0,
-      "fairness": 1,
-      "total_ops": 3240000
-    },
-    {
-      "name": "contended/t4/MCS",
-      "lock": "MCS",
-      "threads": 4,
-      "ops_per_us": 21.4,
-      "rel_stddev": 0.02,
-      "fairness": 0.9,
-      "total_ops": 1000000
-    }
-  ]
-}`
-
-func TestReadReportV1(t *testing.T) {
-	rep, err := ReadReport(strings.NewReader(v1Report))
-	if err != nil {
-		t.Fatalf("reading v1 report: %v", err)
-	}
-	if rep.Schema != ReportSchemaV1 {
-		t.Fatalf("schema = %q", rep.Schema)
-	}
-	if len(rep.Results) != 2 {
-		t.Fatalf("results = %d, want 2", len(rep.Results))
-	}
-	r := rep.Results[0]
-	if r.Lock != "MCS" || r.NsPerOp != 23.05 || r.Throughput != 43.37 {
-		t.Fatalf("v1 fields mangled: %+v", r)
-	}
-	// v1 results are upgraded to v2 naming so cross-schema comparisons
-	// keep matching; other v2-only fields default cleanly.
-	if r.Workload != "uncontended" || r.Name != "uncontended/MCS" {
-		t.Fatalf("v1 uncontended result not upgraded: %+v", r)
-	}
-	c := rep.Results[1]
-	if c.Workload != "spin" || c.Name != "contended/spin/t4/MCS" {
-		t.Fatalf("v1 contended result not upgraded to spin naming: %+v", c)
-	}
-	if r.P99Ns != 0 || r.LatencySamples != 0 || rep.Regressions != nil {
-		t.Fatalf("v2 fields not zero on v1 report: %+v", r)
-	}
-}
-
-// TestCompareAcrossSchemas pins the upgrade's purpose: a v1 baseline's
-// contended results must match the v2 sweep's names.
-func TestCompareAcrossSchemas(t *testing.T) {
-	prev, err := ReadReport(strings.NewReader(v1Report))
-	if err != nil {
-		t.Fatal(err)
-	}
-	regs := CompareResults(prev.Results, []Result{
-		{Name: "contended/spin/t4/MCS", Lock: "MCS", Workload: "spin", Threads: 4, Throughput: 10.7},
-	}, 0.10)
-	if len(regs) != 1 || regs[0].OldOpsPerUs != 21.4 {
-		t.Fatalf("v1 contended baseline not matched: %+v", regs)
-	}
-}
-
 func TestReadReportV2RoundTrip(t *testing.T) {
 	in := NewReport(false, []Result{
 		{Name: "contended/spin/t4/CNA", Lock: "CNA", Workload: "spin", Threads: 4,
@@ -110,9 +35,11 @@ func TestReadReportV2RoundTrip(t *testing.T) {
 }
 
 func TestReadReportRejectsUnknownSchema(t *testing.T) {
-	_, err := ReadReport(strings.NewReader(`{"schema": "repro-bench/v9", "results": []}`))
-	if err == nil || !strings.Contains(err.Error(), "repro-bench/v9") {
-		t.Fatalf("unknown schema accepted: %v", err)
+	for _, schema := range []string{"repro-bench/v9", "repro-bench/v1"} {
+		_, err := ReadReport(strings.NewReader(`{"schema": "` + schema + `", "results": []}`))
+		if err == nil || !strings.Contains(err.Error(), schema) {
+			t.Fatalf("unsupported schema %s accepted: %v", schema, err)
+		}
 	}
 	if _, err := ReadReport(strings.NewReader(`not json`)); err == nil {
 		t.Fatal("garbage accepted")

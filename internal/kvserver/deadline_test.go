@@ -125,7 +125,7 @@ func (l *neverTimedLock) LockContext(ctx context.Context) error {
 	return locks.ContextLock(ctx, l)
 }
 
-var _ locks.TimedNativeMutex = (*neverTimedLock)(nil)
+var _ locks.NativeMutex = (*neverTimedLock)(nil)
 
 // TestLoadgenShedsAndRetries installs a lock that rejects every timed
 // admission, so each deadline-path request sheds after exactly
@@ -138,7 +138,7 @@ func TestLoadgenShedsAndRetries(t *testing.T) {
 	cfg := testConfig(1, "cna")
 	cfg.Locks = []lockreg.Spec{{
 		Name: "never-timed",
-		Native: func(lockreg.Env, ...lockreg.Option) locks.TimedNativeMutex {
+		Native: func(lockreg.Env, ...lockreg.Option) locks.NativeMutex {
 			return &neverTimedLock{attempts: &attempts}
 		},
 	}}

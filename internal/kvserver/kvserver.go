@@ -83,7 +83,7 @@ var ErrDeadline = errors.New("kvserver: deadline exceeded acquiring shard lock")
 // The pointer identity of a shardLock is what acquire validates
 // against: one swap, one new *shardLock.
 type shardLock struct {
-	m    locks.TimedNativeMutex
+	m    locks.NativeMutex
 	spec lockreg.Spec
 	// rw is the lock's reader-writer face when the spec has one
 	// ("cna-rw", "std-rw", ...), nil otherwise. When set, m is the same
@@ -338,10 +338,12 @@ func (s *Server) PutWithin(key, value uint64, d time.Duration) error {
 // Update applies f to the current value under key (ok reports whether
 // the key existed) and stores the result, all under the shard lock —
 // the read-modify-write the swap storm test counter-checks: a lost or
-// doubled Update would break the final sum.
+// doubled Update would break the final sum. If f panics, the shard
+// lock is released and the value is left as it was.
 func (s *Server) Update(key uint64, f func(old uint64, ok bool) uint64) uint64 {
 	sh := s.shardFor(key)
 	l, _ := sh.acquire(false, time.Time{})
+	defer l.m.Unlock()
 	var v uint64
 	if p := sh.slot(key); p != nil {
 		v = f(atomic.LoadUint64(p), true)
@@ -350,7 +352,6 @@ func (s *Server) Update(key uint64, f func(old uint64, ok bool) uint64) uint64 {
 		v = f(0, false)
 		sh.insert(key, v)
 	}
-	l.m.Unlock()
 	return v
 }
 

@@ -70,6 +70,33 @@ func TestServerUpdateReadModifyWrite(t *testing.T) {
 	}
 }
 
+// TestUpdatePanicReleasesShard pins that a panicking Update callback
+// neither wedges its shard nor leaks a slot: once the panic is
+// recovered, a bounded Get on the same shard must be admitted and the
+// slot pool must be whole again.
+func TestUpdatePanicReleasesShard(t *testing.T) {
+	for _, name := range []string{"cna", "cna-rw", "std", "cna-fissile"} {
+		t.Run(name, func(t *testing.T) {
+			srv := New(testConfig(1, name))
+			srv.Put(3, 30)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("Update swallowed its callback's panic")
+					}
+				}()
+				srv.Update(3, func(uint64, bool) uint64 { panic("callback fault") })
+			}()
+			if v, ok, err := srv.GetWithin(3, 50*time.Millisecond); err != nil || !ok || v != 30 {
+				t.Errorf("GetWithin after a recovered Update panic = %d,%v,%v; want 30,true,nil", v, ok, err)
+			}
+			if free, capacity := srv.PoolStats(); free != capacity {
+				t.Errorf("pool free = %d of %d after a recovered Update panic", free, capacity)
+			}
+		})
+	}
+}
+
 // noLock excludes nothing, standing in for a broken shard lock.
 type noLock struct{}
 
@@ -89,7 +116,7 @@ func (noLock) LockContext(context.Context) error { return nil }
 func TestBrokenLockLosesUpdatesWithoutAbort(t *testing.T) {
 	spec := lockreg.Spec{
 		Name: "none",
-		Native: func(lockreg.Env, ...lockreg.Option) locks.TimedNativeMutex {
+		Native: func(lockreg.Env, ...lockreg.Option) locks.NativeMutex {
 			return noLock{}
 		},
 	}

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"repro/internal/locknames"
-	"repro/internal/locks"
 	"repro/internal/locks/fissile"
 )
 
@@ -59,7 +58,7 @@ func TestFissileConformanceStorm(t *testing.T) {
 			t.Parallel()
 			const workers = 6
 			iters := confIters(t) / 2
-			m := spec.Build(testEnv(workers), WithPatience(4)).(locks.TimedMutex)
+			m := spec.Build(testEnv(workers), WithPatience(4))
 			ths := confThreads(workers)
 
 			var counter int64 // protected by m; non-atomic on purpose
@@ -175,7 +174,7 @@ func TestFissileAntiStarvation(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		th := confThreads(2)[1]
-		f.LockSlow(th) // queue path by construction: no fast-path attempt
+		f.LockSlow(th, time.Time{}) // queue path by construction: no fast-path attempt
 		f.Unlock(th)
 		close(done)
 	}()

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"repro/internal/locknames"
-	"repro/internal/locks"
 	"repro/internal/locks/gcr"
 )
 
@@ -65,7 +64,7 @@ func TestGCRConformanceStorm(t *testing.T) {
 			t.Parallel()
 			const workers = 6
 			iters := confIters(t) / 2
-			m := spec.Build(testEnv(workers), WithActiveSet(2), WithRotateEvery(32)).(locks.TimedMutex)
+			m := spec.Build(testEnv(workers), WithActiveSet(2), WithRotateEvery(32))
 			ths := confThreads(workers)
 
 			var counter int64 // protected by m; non-atomic on purpose

@@ -189,7 +189,7 @@ type Spec struct {
 	// picked up by the RW conformance storms, the read-ratio benchmark
 	// sweeps and the kvserver read path; consumers that only need a
 	// plain mutex can use an RW spec unchanged (its writer side is the
-	// full TimedMutex contract).
+	// full locks.Mutex contract).
 	RW bool
 	// Wait is the canonical name of the waiting policy the Spec builds
 	// with ("spin" for every base algorithm; "spin-park" for the
@@ -206,10 +206,10 @@ type Spec struct {
 	// (internal/gonative, repro.NewMutex) wraps Build's lock in the
 	// thread-slot adapter instead. Kept as a Spec field so "how do I get
 	// this lock as a sync.Locker" is answered by the registry, not by
-	// callers special-casing names. The native contract is timed: every
-	// build supports LockTimeout/LockContext (locks.ContextLock gives
-	// the context form away once LockTimeout exists).
-	Native func(Env, ...Option) locks.TimedNativeMutex
+	// callers special-casing names. Native builds carry the whole
+	// locks.NativeMutex contract, timed acquires included
+	// (locks.ContextLock gives LockContext away once LockTimeout exists).
+	Native func(Env, ...Option) locks.NativeMutex
 }
 
 // registry holds Specs in registration order (the order All and Names
@@ -530,7 +530,7 @@ func init() {
 		Build: func(env Env, opts ...Option) locks.Mutex {
 			return locks.NewStd()
 		},
-		Native: func(env Env, opts ...Option) locks.TimedNativeMutex {
+		Native: func(env Env, opts ...Option) locks.NativeMutex {
 			return locks.NewStdNative()
 		},
 	})
@@ -543,7 +543,7 @@ func init() {
 		Build: func(env Env, opts ...Option) locks.Mutex {
 			return locks.NewStdRW()
 		},
-		Native: func(env Env, opts ...Option) locks.TimedNativeMutex {
+		Native: func(env Env, opts ...Option) locks.NativeMutex {
 			return locks.NewStdRWNative()
 		},
 	})
@@ -625,17 +625,11 @@ func registerFissileVariants(bases ...string) {
 			NUMAAware:   spec.NUMAAware,
 			Wait:        spec.Wait,
 			Build: func(env Env, opts ...Option) locks.Mutex {
-				inner, timed := baseBuild(env, opts...).(locks.TimedMutex)
-				if !timed {
-					// Unreachable for registered bases (every lock in the
-					// registry is timed); guards hand-rolled Specs.
-					panic(fmt.Sprintf("lockreg: fissile fallback %q is not a TimedMutex", base))
-				}
 				var fopts []fissile.Option
 				if c := apply(opts); c.patienceSet {
 					fopts = append(fopts, fissile.WithPatience(c.patience))
 				}
-				return fissile.New(inner, fopts...)
+				return fissile.New(baseBuild(env, opts...), fopts...)
 			},
 		}
 		for _, a := range spec.Aliases {
@@ -671,22 +665,15 @@ func registerCRVariants(bases ...string) {
 			NUMAAware:   spec.NUMAAware,
 			Wait:        waiter.SpinThenPark{}.Name(),
 			Build: func(env Env, opts ...Option) locks.Mutex {
-				inner, timed := baseBuild(env, opts...).(locks.TimedMutex)
-				if !timed {
-					// Unreachable for registered bases (every lock in the
-					// registry is timed); guards hand-rolled Specs.
-					panic(fmt.Sprintf("lockreg: CR inner lock %q is not a TimedMutex", base))
-				}
 				var gopts []gcr.Option
-				if c := apply(opts); c.activeSetSet || c.rotateEverySet {
-					if c.activeSetSet {
-						gopts = append(gopts, gcr.WithActiveSet(c.activeSet))
-					}
-					if c.rotateEverySet {
-						gopts = append(gopts, gcr.WithRotateEvery(c.rotateEvery))
-					}
+				c := apply(opts)
+				if c.activeSetSet {
+					gopts = append(gopts, gcr.WithActiveSet(c.activeSet))
 				}
-				return gcr.New(inner, env.Sockets(), gopts...)
+				if c.rotateEverySet {
+					gopts = append(gopts, gcr.WithRotateEvery(c.rotateEvery))
+				}
+				return gcr.New(baseBuild(env, opts...), env.Sockets(), gopts...)
 			},
 		}
 		for _, a := range spec.Aliases {
@@ -719,17 +706,11 @@ func registerRWVariants(bases ...string) {
 			RW:          true,
 			Wait:        spec.Wait,
 			Build: func(env Env, opts ...Option) locks.Mutex {
-				gate, timed := baseBuild(env, opts...).(locks.TimedMutex)
-				if !timed {
-					// Unreachable for registered bases (every lock in the
-					// registry is timed); guards hand-rolled Specs.
-					panic(fmt.Sprintf("lockreg: RW gate %q is not a TimedMutex", base))
-				}
 				var ropts []rw.Option
 				if c := apply(opts); c.rwNeutralSet && c.rwNeutral {
 					ropts = append(ropts, rw.Neutral())
 				}
-				return rw.New(gate, env.Sockets(), env.Threads(), ropts...)
+				return rw.New(baseBuild(env, opts...), env.Sockets(), env.Threads(), ropts...)
 			},
 		}
 		for _, a := range spec.Aliases {

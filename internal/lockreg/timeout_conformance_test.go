@@ -1,7 +1,7 @@
 package lockreg
 
-// Bounded-wait conformance: every registered lock must implement
-// locks.TimedMutex and honour its contract —
+// Bounded-wait conformance: every registered lock must honour the
+// LockTimeout contract of locks.Mutex —
 //
 //  1. expiry returns false, consumes no nesting slot, and leaves the
 //     lock fully functional (no lost lock);
@@ -25,17 +25,6 @@ import (
 	"repro/internal/locks"
 )
 
-// TestConformanceTimedMutex pins the registry-wide contract that every
-// build — every algorithm, every *-park variant — is a TimedMutex.
-func TestConformanceTimedMutex(t *testing.T) {
-	for _, spec := range All() {
-		m := spec.Build(testEnv(2))
-		if _, ok := m.(locks.TimedMutex); !ok {
-			t.Errorf("%s does not implement locks.TimedMutex", spec.Name)
-		}
-	}
-}
-
 // TestConformanceTimeoutExpiry holds each lock and fires timed
 // acquires at it from every other thread: all must expire, consume no
 // nesting slot, and leave the lock acquirable once released.
@@ -45,7 +34,7 @@ func TestConformanceTimeoutExpiry(t *testing.T) {
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
 			const workers = 4
-			m := spec.Build(testEnv(workers)).(locks.TimedMutex)
+			m := spec.Build(testEnv(workers))
 			ths := confThreads(workers)
 
 			m.Lock(ths[0])
@@ -97,7 +86,7 @@ func TestConformanceTimeoutStorm(t *testing.T) {
 			t.Parallel()
 			const workers = 6
 			iters := confIters(t) / 4
-			m := spec.Build(testEnv(workers)).(locks.TimedMutex)
+			m := spec.Build(testEnv(workers))
 			ths := confThreads(workers)
 
 			var counter uint64

@@ -219,7 +219,7 @@ func (l *CLH) TryLock(t *Thread) bool {
 	return true
 }
 
-// LockTimeout implements TimedMutex (see the type comment's timed
+// LockTimeout implements Mutex (see the type comment's timed
 // acquisition protocol).
 func (l *CLH) LockTimeout(t *Thread, d time.Duration) bool {
 	slot := &l.slots[t.ID][t.AcquireSlot()]

@@ -194,7 +194,7 @@ func (c *Lock) TryLock(t *locks.Thread) bool {
 	return true
 }
 
-// LockTimeout implements locks.TimedMutex. With an MCS local and a
+// LockTimeout implements locks.Mutex. With an MCS local and a
 // backoff global (C-BO-MCS) this is a real two-level timed protocol:
 // the timed local acquisition (abandonment protocol) with whatever
 // deadline budget remains spent on the timed global; a cohort pass
@@ -276,5 +276,4 @@ func (c *Lock) Handovers() *locks.HandoverCounter {
 }
 
 var _ locks.Mutex = (*Lock)(nil)
-var _ locks.TimedMutex = (*Lock)(nil)
 var _ locks.StatsEnabler = (*Lock)(nil)

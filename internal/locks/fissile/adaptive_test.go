@@ -54,7 +54,7 @@ func TestQueuedGaugeTracksSlowPath(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			th := locks.NewThread(id, 0)
-			l.LockSlow(th)
+			l.LockSlow(th, time.Time{})
 			l.Unlock(th)
 		}(i)
 	}

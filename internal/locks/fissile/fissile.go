@@ -97,15 +97,15 @@ type Lock struct {
 	word atomic.Uint32
 	_    [15]uint32
 
-	inner    locks.TimedMutex
+	inner    locks.Mutex
 	patience int
 	statsOn  bool
 	stats    Stats
 
 	// queued gauges the slow path: the number of threads currently
-	// inside LockSlow/LockSlowTimeout (queued behind the inner lock or
-	// competing for the outer word as the alpha). The alpha reads it to
-	// adapt its patience — see effectivePatience.
+	// inside LockSlow (queued behind the inner lock or competing for
+	// the outer word as the alpha). The alpha reads it to adapt its
+	// patience — see effectivePatience.
 	queued atomic.Int32
 }
 
@@ -146,10 +146,9 @@ func WithPatience(n int) Option {
 	}
 }
 
-// New wraps inner — any queue lock implementing the timed contract —
-// in the Fissile fast path. The composite's Name is the inner name
-// plus locknames.FissileSuffix.
-func New(inner locks.TimedMutex, opts ...Option) *Lock {
+// New wraps inner — any queue lock — in the Fissile fast path. The
+// composite's Name is the inner name plus locknames.FissileSuffix.
+func New(inner locks.Mutex, opts ...Option) *Lock {
 	l := &Lock{inner: inner, patience: DefaultPatience}
 	for _, o := range opts {
 		o(l)
@@ -162,7 +161,7 @@ func (l *Lock) Name() string { return l.inner.Name() + locknames.FissileSuffix }
 
 // Inner exposes the wrapped queue lock, e.g. to read its handover or
 // secondary-queue statistics after a WithStats build.
-func (l *Lock) Inner() locks.TimedMutex { return l.inner }
+func (l *Lock) Inner() locks.Mutex { return l.inner }
 
 // TryFast attempts the one-CAS fast path: true iff the outer word was
 // free (neither held nor barred) and is now held. It never touches the
@@ -182,10 +181,9 @@ func (l *Lock) TryFast() bool {
 // The Thread is used only while waiting in the queue — its nesting
 // depth is back to its entry value by the time Lock returns.
 func (l *Lock) Lock(t *locks.Thread) {
-	if l.TryFast() {
-		return
+	if !l.TryFast() {
+		l.LockSlow(t, time.Time{})
 	}
-	l.LockSlow(t)
 }
 
 // TryLock implements locks.Mutex: exactly the fast path. A barred word
@@ -194,32 +192,52 @@ func (l *Lock) Lock(t *locks.Thread) {
 // the queue indefinitely.
 func (l *Lock) TryLock(t *locks.Thread) bool { return l.TryFast() }
 
+// LockTimeout implements locks.Mutex: the fast path, then the queue
+// fallback bounded by d. A non-positive d degrades to TryLock, per the
+// interface contract.
+func (l *Lock) LockTimeout(t *locks.Thread, d time.Duration) bool {
+	return l.TryFast() || d > 0 && l.LockSlow(t, time.Now().Add(d))
+}
+
 // LockSlow is the contended fallback: join the inner queue, win the
-// outer word as the alpha, leave the queue. Exposed (with TryFast) so
-// the goroutine-native adapter can claim its thread slot only for this
-// path.
-func (l *Lock) LockSlow(t *locks.Thread) {
+// outer word as the alpha, leave the queue. The inner queue wait and
+// the outer-word contest share one deadline; the zero deadline waits
+// forever and never reads the clock. On expiry (false) the mutex is
+// untouched, the fast path is reopened (any bar this waiter placed is
+// withdrawn) and the Thread's nesting slot is not consumed. Exposed
+// (with TryFast) so the goroutine-native adapter can claim its thread
+// slot only for this path, spending part of the same deadline on the
+// claim.
+func (l *Lock) LockSlow(t *locks.Thread, deadline time.Time) bool {
 	l.queued.Add(1)
-	l.inner.Lock(t)
-	l.acquireOuter()
+	if !locks.LockUntil(l.inner, t, deadline) {
+		l.queued.Add(-1)
+		return false
+	}
+	ok := l.acquireOuter(deadline)
 	l.queued.Add(-1)
 	l.inner.Unlock(t)
+	return ok
 }
 
 // acquireOuter wins the outer word as the alpha waiter (inner lock
-// held). The probe budget adapts to queue pressure: see
-// effectivePatience.
-func (l *Lock) acquireOuter() {
+// held) by deadline. The probe budget adapts to queue pressure: see
+// effectivePatience. The clock is probed only once the spinner yields
+// (spinwait.Spinner.Expired), and never for the zero deadline. On
+// expiry while barred it makes one final CAS attempt and then
+// withdraws the bar, so an abandoned wait never leaves the fast path
+// closed.
+func (l *Lock) acquireOuter(deadline time.Time) bool {
 	patience := l.effectivePatience()
 	var w spinwait.Spinner
 	for i := 0; i < patience; i++ {
 		if l.word.Load() == 0 && l.word.CompareAndSwap(0, lockedBit) {
-			if l.statsOn {
-				l.stats.SlowAcquires++
-			}
-			return
+			return l.wonSlow()
 		}
 		w.Pause()
+		if w.Expired(deadline) {
+			return false
+		}
 	}
 	// Patience exhausted: bar the fast path. From here on the word can
 	// only be locked|barred (holder still inside) or barred (free, ours
@@ -231,91 +249,25 @@ func (l *Lock) acquireOuter() {
 	}
 	for {
 		if l.word.CompareAndSwap(barredBit, lockedBit) {
-			if l.statsOn {
-				l.stats.SlowAcquires++
-			}
-			return
+			return l.wonSlow()
 		}
 		w.Pause()
-	}
-}
-
-// LockTimeout implements locks.TimedMutex. A non-positive d degrades
-// to TryLock, per the interface contract.
-func (l *Lock) LockTimeout(t *locks.Thread, d time.Duration) bool {
-	if l.TryFast() {
-		return true
-	}
-	if d <= 0 {
-		return false
-	}
-	return l.LockSlowTimeout(t, d)
-}
-
-// LockSlowTimeout is the deadline-bounded queue fallback: the inner
-// queue wait and the outer-word contest share the one budget. On
-// expiry the mutex is untouched, the fast path is reopened (any bar
-// this waiter placed is withdrawn) and the Thread's nesting slot is
-// not consumed. Exposed for the goroutine-native adapter, which
-// spends part of the same budget claiming a thread slot first.
-func (l *Lock) LockSlowTimeout(t *locks.Thread, d time.Duration) bool {
-	if d <= 0 {
-		return false
-	}
-	deadline := time.Now().Add(d)
-	l.queued.Add(1)
-	if !l.inner.LockTimeout(t, d) {
-		l.queued.Add(-1)
-		return false
-	}
-	ok := l.acquireOuterTimeout(deadline)
-	l.queued.Add(-1)
-	l.inner.Unlock(t)
-	return ok
-}
-
-// acquireOuterTimeout is acquireOuter with a deadline (inner lock
-// held). Clock probes are amortized as in locks.PollTimeout. On expiry
-// while barred it makes one final CAS attempt and then withdraws the
-// bar, so an abandoned wait never leaves the fast path closed.
-func (l *Lock) acquireOuterTimeout(deadline time.Time) bool {
-	patience := l.effectivePatience()
-	var w spinwait.Spinner
-	for i := 1; i <= patience; i++ {
-		if l.word.Load() == 0 && l.word.CompareAndSwap(0, lockedBit) {
-			if l.statsOn {
-				l.stats.SlowAcquires++
-			}
-			return true
-		}
-		w.Pause()
-		if (w.Yielding() || i%64 == 0) && !time.Now().Before(deadline) {
-			return false
-		}
-	}
-	l.word.Or(barredBit)
-	if l.statsOn {
-		l.stats.Handbacks++
-	}
-	for n := 1; ; n++ {
-		if l.word.CompareAndSwap(barredBit, lockedBit) {
-			if l.statsOn {
-				l.stats.SlowAcquires++
-			}
-			return true
-		}
-		w.Pause()
-		if (w.Yielding() || n%64 == 0) && !time.Now().Before(deadline) {
+		if w.Expired(deadline) {
 			if l.word.CompareAndSwap(barredBit, lockedBit) {
-				if l.statsOn {
-					l.stats.SlowAcquires++
-				}
-				return true
+				return l.wonSlow()
 			}
 			l.word.And(^uint32(barredBit))
 			return false
 		}
 	}
+}
+
+// wonSlow counts a queue-path acquisition and reports success.
+func (l *Lock) wonSlow() bool {
+	if l.statsOn {
+		l.stats.SlowAcquires++
+	}
+	return true
 }
 
 // Unlock implements locks.Mutex: one RMW on the outer word, identical
@@ -360,7 +312,6 @@ func (l *Lock) Stats() Stats { return l.stats }
 
 var (
 	_ locks.Mutex        = (*Lock)(nil)
-	_ locks.TimedMutex   = (*Lock)(nil)
 	_ locks.StatsEnabler = (*Lock)(nil)
 	_ waiter.Setter      = (*Lock)(nil)
 )

@@ -142,7 +142,7 @@ func TestTimeoutWithdrawsBar(t *testing.T) {
 	l.UnlockFast()
 }
 
-// TestLockTimeoutNonPositiveDegradesToTryLock pins the TimedMutex
+// TestLockTimeoutNonPositiveDegradesToTryLock pins the locks.Mutex
 // contract's non-positive-d clause.
 func TestLockTimeoutNonPositiveDegradesToTryLock(t *testing.T) {
 	l := newMCSFissile(2)

@@ -2,7 +2,7 @@
 // front of any lock, after "Avoiding Scalability Collapse by Restricting
 // Concurrency" (Dice & Kogan 2019; see PAPERS.md). Where the Malthusian
 // lock culls waiters *inside* one MCS queue, this composite works on any
-// locks.TimedMutex — including the stdlib baseline — by deciding, before
+// locks.Mutex — including the stdlib baseline — by deciding, before
 // a thread is allowed to contend at all, whether it may.
 //
 // # Why
@@ -55,7 +55,7 @@
 // TryLock bypasses the gate entirely and probes the inner lock:
 // concurrency restriction bounds who may *wait*, and a TryLock never
 // waits (see waiter.TryPolicy). A non-positive LockTimeout degrades to
-// TryLock per the TimedMutex contract and inherits the bypass.
+// TryLock per the Mutex contract and inherits the bypass.
 package gcr
 
 import (
@@ -146,7 +146,7 @@ type slot struct {
 // Lock is the concurrency-restriction composite. Build one with New;
 // the zero value is not usable.
 type Lock struct {
-	inner locks.TimedMutex
+	inner locks.Mutex
 	// wait is the passive-side policy (the inner lock keeps its own).
 	wait        waiter.Policy
 	slots       []slot
@@ -207,7 +207,7 @@ func WithRotateEvery(n int) Option {
 // composite's Name is the inner name plus locknames.CRSuffix. The
 // passive side parks with waiter.SpinThenPark by default; SetWait
 // changes it (and forwards to the inner lock).
-func New(inner locks.TimedMutex, sockets int, opts ...Option) *Lock {
+func New(inner locks.Mutex, sockets int, opts ...Option) *Lock {
 	if sockets < 1 {
 		sockets = 1
 	}
@@ -228,7 +228,7 @@ func (l *Lock) Name() string { return l.inner.Name() + locknames.CRSuffix }
 
 // Inner exposes the wrapped lock, e.g. to read its handover or
 // secondary-queue statistics after a WithStats build.
-func (l *Lock) Inner() locks.TimedMutex { return l.inner }
+func (l *Lock) Inner() locks.Mutex { return l.inner }
 
 // ActiveSet reports the admission-slot count (for tests and reports).
 func (l *Lock) ActiveSet() int { return len(l.slots) }
@@ -285,7 +285,7 @@ func (l *Lock) Lock(t *locks.Thread) {
 // slot, joins no list, and leaves no trace either way.
 func (l *Lock) TryLock(t *locks.Thread) bool { return l.inner.TryLock(t) }
 
-// LockTimeout implements locks.TimedMutex. A non-positive d degrades to
+// LockTimeout implements locks.Mutex. A non-positive d degrades to
 // TryLock, per the interface contract.
 func (l *Lock) LockTimeout(t *locks.Thread, d time.Duration) bool {
 	if d <= 0 {
@@ -605,7 +605,6 @@ func (l *Lock) Passive() int { return int(l.passive.Load()) }
 
 var (
 	_ locks.Mutex        = (*Lock)(nil)
-	_ locks.TimedMutex   = (*Lock)(nil)
 	_ locks.StatsEnabler = (*Lock)(nil)
 	_ waiter.Setter      = (*Lock)(nil)
 )

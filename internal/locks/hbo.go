@@ -65,7 +65,7 @@ func (l *HBO) TryLock(t *Thread) bool {
 	return l.state.CompareAndSwap(0, uint32(t.Socket)+1)
 }
 
-// LockTimeout implements TimedMutex: the socket-sensitive backoff loop
+// LockTimeout implements Mutex: the socket-sensitive backoff loop
 // with a deadline check per backoff interval.
 func (l *HBO) LockTimeout(t *Thread, d time.Duration) bool {
 	me := uint32(t.Socket) + 1

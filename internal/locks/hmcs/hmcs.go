@@ -195,7 +195,7 @@ func (l *HMCS) Lock(t *locks.Thread) {
 	}
 }
 
-// LockTimeout implements locks.TimedMutex: the tstate abandonment
+// LockTimeout implements locks.Mutex: the tstate abandonment
 // protocol (see the constant block) at both levels. A waiter that times
 // out in the leaf queue abandons its leaf node; a representative that
 // times out in the root queue abandons the leaf's root node, then
@@ -476,5 +476,4 @@ func (l *HMCS) Handovers() *locks.HandoverCounter {
 }
 
 var _ locks.Mutex = (*HMCS)(nil)
-var _ locks.TimedMutex = (*HMCS)(nil)
 var _ locks.StatsEnabler = (*HMCS)(nil)

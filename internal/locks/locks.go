@@ -36,7 +36,9 @@
 package locks
 
 import (
+	"context"
 	"fmt"
+	"time"
 	"unsafe"
 
 	"repro/internal/prng"
@@ -150,6 +152,27 @@ type Mutex interface {
 	// this operation in front of the queue machinery. On failure the
 	// thread's nesting slot is not consumed.
 	TryLock(t *Thread) bool
+	// LockTimeout attempts to acquire the mutex for t, giving up after
+	// d. It returns true when the mutex is held (exactly like Lock
+	// having returned) and false on expiry, in which case the thread's
+	// nesting slot is not consumed and the mutex is untouched — a later
+	// Lock/TryLock by any thread (including t) proceeds normally. A
+	// non-positive d degrades to TryLock. How a wait gives up is
+	// layer-specific and documented per lock:
+	//
+	//   - Flat spin locks (TAS, TTAS, BO-TAS, HBO) hold no queue
+	//     position, so a timed-out waiter simply stops retrying.
+	//   - Queue locks (MCS, CLH, CNA, Malthusian, cohort locals, HMCS,
+	//     qspin) run a Scott-&-Scherer-style abandonment protocol: the
+	//     timed waiter marks its node abandoned, the handover path
+	//     detects the mark and skips the node, and the node is retired
+	//     back to its owner afterwards — no lost grant, no ghost
+	//     critical section.
+	//   - FIFO counter locks (TKT, PTL) cannot abandon a drawn ticket
+	//     without wedging the grant sequence, so their timed acquire is
+	//     a deadline-bounded TryLock poll: strictly weaker fairness than
+	//     their blocking Lock, but safe and non-wedging.
+	LockTimeout(t *Thread, d time.Duration) bool
 	// Unlock releases the mutex. It must be called by the thread that
 	// holds it (cohort-style global locks relax this internally, but the
 	// public interface keeps the POSIX contract).
@@ -172,6 +195,13 @@ type NativeMutex interface {
 	// TryLock attempts one non-blocking acquisition (false when the
 	// mutex — or, for adapted locks, a thread slot — is unavailable).
 	TryLock() bool
+	// LockTimeout is Lock bounded by d: false means expiry with the
+	// mutex untouched. A non-positive d degrades to TryLock.
+	LockTimeout(d time.Duration) bool
+	// LockContext acquires the mutex unless ctx is cancelled or its
+	// deadline passes first; non-nil means the context's error and the
+	// mutex untouched (ContextLock is the canonical implementation).
+	LockContext(ctx context.Context) error
 	// Unlock releases the mutex. As with sync.Mutex, a different
 	// goroutine than the locker may call it, provided the critical
 	// section was handed over with proper synchronization.

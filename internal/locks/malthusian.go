@@ -128,7 +128,7 @@ func (l *Malthusian) Lock(t *Thread) {
 	}
 }
 
-// LockTimeout implements TimedMutex via the shared mcsNode tstate
+// LockTimeout implements Mutex via the shared mcsNode tstate
 // protocol (see mcs.go). Abandoned nodes stay in the main queue until
 // a release's skip walk retires them — they are never culled (see
 // Unlock), so the passive list never holds a timed node.

@@ -190,7 +190,7 @@ func (l *MCS) TryLock(t *Thread) bool {
 	return false
 }
 
-// LockTimeout implements TimedMutex via the tstate abandonment
+// LockTimeout implements Mutex via the tstate abandonment
 // protocol (see the tsClean constant block): arm the node, enqueue, run the timed
 // wait, and on expiry race the releaser for the node's fate.
 func (l *MCS) LockTimeout(t *Thread, d time.Duration) bool {

@@ -7,7 +7,7 @@
 //
 // # Construction
 //
-// A Lock wraps a locks.TimedMutex as its writer gate, so every
+// A Lock wraps a locks.Mutex as its writer gate, so every
 // registered algorithm — MCS, CNA, HMCS, a cohort lock — becomes an RW
 // lock's writer arbiter without modification; writer-vs-writer
 // contention inherits exactly the gate's NUMA behaviour. Readers never
@@ -82,10 +82,10 @@ func WriterPreference() Option { return func(l *Lock) { l.neutral = false } }
 
 // Lock is the NUMA-aware reader-writer lock. Build one with New; the
 // zero value is not usable. It implements locks.RWMutex; the writer
-// methods (Lock/TryLock/LockTimeout/Unlock) carry the full TimedMutex
+// methods (Lock/TryLock/LockTimeout/Unlock) carry the full Mutex
 // contract of the wrapped gate.
 type Lock struct {
-	writer  locks.TimedMutex
+	writer  locks.Mutex
 	wait    waiter.Policy
 	base    string // the gate's name at construction (its spin spelling)
 	neutral bool
@@ -124,7 +124,7 @@ type Lock struct {
 // below 1 are raised to 1. The per-socket striping follows
 // locks.Thread.Socket — the identity a numa.Placement assigns — so a
 // reader's increment lands on the line its socket owns.
-func New(gate locks.TimedMutex, sockets, maxThreads int, opts ...Option) *Lock {
+func New(gate locks.Mutex, sockets, maxThreads int, opts ...Option) *Lock {
 	if sockets < 1 {
 		sockets = 1
 	}
@@ -327,7 +327,7 @@ func (l *Lock) TryLock(t *Thread) bool {
 	return true
 }
 
-// LockTimeout implements locks.TimedMutex: the gate wait and the
+// LockTimeout implements locks.Mutex: the gate wait and the
 // reader drain share one deadline. Expiry at either stage leaves no
 // trace: a failed gate acquire only retracts the waiting count, and a
 // failed drain lowers the writer flag and releases the gate — in both
@@ -422,7 +422,6 @@ type Thread = locks.Thread
 
 var (
 	_ locks.RWMutex      = (*Lock)(nil)
-	_ locks.TimedMutex   = (*Lock)(nil)
 	_ waiter.Setter      = (*Lock)(nil)
 	_ locks.StatsEnabler = (*Lock)(nil)
 )

@@ -6,7 +6,7 @@ import (
 )
 
 // RWMutex is the reader-writer extension of the thread-level lock
-// contract: the full TimedMutex writer side (Lock/TryLock/LockTimeout/
+// contract: the full Mutex writer side (Lock/TryLock/LockTimeout/
 // Unlock) plus a shared read side. Any number of readers may hold the
 // lock together; readers and the writer exclude each other. The
 // reader methods follow the same conventions as their writer
@@ -18,7 +18,7 @@ import (
 // it to pair each reader's indicator decrement with the increment on
 // the same per-socket stripe).
 type RWMutex interface {
-	TimedMutex
+	Mutex
 	// RLock acquires the lock for reading, blocking while a writer
 	// holds it (and, in writer-preference mode, while one waits).
 	RLock(t *Thread)
@@ -44,7 +44,7 @@ type RWMutex interface {
 // internal/gonative adapter; the stdlib baseline (std-rw) implements
 // it directly over sync.RWMutex.
 type NativeRWMutex interface {
-	TimedNativeMutex
+	NativeMutex
 	// RLock acquires the lock for reading.
 	RLock()
 	// RUnlock releases one read hold.

@@ -29,7 +29,7 @@ func (l *Std) TryLock(t *Thread) bool { return l.mu.TryLock() }
 // Unlock implements Mutex.
 func (l *Std) Unlock(t *Thread) { l.mu.Unlock() }
 
-// LockTimeout implements TimedMutex: sync.Mutex exposes no timed wait,
+// LockTimeout implements Mutex: sync.Mutex exposes no timed wait,
 // so the stdlib wrappers poll TryLock until the deadline — the runtime
 // manages fairness among the polls.
 func (l *Std) LockTimeout(t *Thread, d time.Duration) bool {
@@ -63,7 +63,7 @@ func (l *StdRW) TryLock(t *Thread) bool { return l.mu.TryLock() }
 // Unlock implements Mutex.
 func (l *StdRW) Unlock(t *Thread) { l.mu.Unlock() }
 
-// LockTimeout implements TimedMutex (TryLock poll; see Std.LockTimeout).
+// LockTimeout implements Mutex (TryLock poll; see Std.LockTimeout).
 func (l *StdRW) LockTimeout(t *Thread, d time.Duration) bool {
 	return PollTimeout(l.mu.TryLock, d)
 }
@@ -105,13 +105,13 @@ func (l *StdNative) TryLock() bool { return l.mu.TryLock() }
 // Unlock implements NativeMutex.
 func (l *StdNative) Unlock() { l.mu.Unlock() }
 
-// LockTimeout implements TimedNativeMutex (TryLock poll; see
+// LockTimeout implements NativeMutex (TryLock poll; see
 // Std.LockTimeout).
 func (l *StdNative) LockTimeout(d time.Duration) bool {
 	return PollTimeout(l.mu.TryLock, d)
 }
 
-// LockContext implements TimedNativeMutex.
+// LockContext implements NativeMutex.
 func (l *StdNative) LockContext(ctx context.Context) error {
 	return ContextLock(ctx, l)
 }
@@ -139,13 +139,13 @@ func (l *StdRWNative) TryLock() bool { return l.mu.TryLock() }
 // Unlock implements NativeMutex.
 func (l *StdRWNative) Unlock() { l.mu.Unlock() }
 
-// LockTimeout implements TimedNativeMutex (TryLock poll; see
+// LockTimeout implements NativeMutex (TryLock poll; see
 // Std.LockTimeout).
 func (l *StdRWNative) LockTimeout(d time.Duration) bool {
 	return PollTimeout(l.mu.TryLock, d)
 }
 
-// LockContext implements TimedNativeMutex.
+// LockContext implements NativeMutex.
 func (l *StdRWNative) LockContext(ctx context.Context) error {
 	return ContextLock(ctx, l)
 }
@@ -172,10 +172,8 @@ func (l *StdRWNative) RLocker() sync.Locker { return l.mu.RLocker() }
 func (l *StdRWNative) Name() string { return "std-rw" }
 
 var (
-	_ TimedMutex       = (*Std)(nil)
-	_ TimedMutex       = (*StdRW)(nil)
-	_ RWMutex          = (*StdRW)(nil)
-	_ TimedNativeMutex = (*StdNative)(nil)
-	_ TimedNativeMutex = (*StdRWNative)(nil)
-	_ NativeRWMutex    = (*StdRWNative)(nil)
+	_ Mutex         = (*Std)(nil)
+	_ RWMutex       = (*StdRW)(nil)
+	_ NativeMutex   = (*StdNative)(nil)
+	_ NativeRWMutex = (*StdRWNative)(nil)
 )

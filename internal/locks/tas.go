@@ -32,7 +32,7 @@ func (l *TAS) TryLock(t *Thread) bool {
 	return l.state.Load() == 0 && l.state.Swap(1) == 0
 }
 
-// LockTimeout implements TimedMutex: a flat lock holds no queue
+// LockTimeout implements Mutex: a flat lock holds no queue
 // position, so the timed acquire just stops retrying at the deadline.
 func (l *TAS) LockTimeout(t *Thread, d time.Duration) bool {
 	return PollTimeout(func() bool { return l.state.Load() == 0 && l.state.Swap(1) == 0 }, d)
@@ -72,7 +72,7 @@ func (l *TTAS) TryLock(t *Thread) bool {
 	return l.state.Load() == 0 && l.state.Swap(1) == 0
 }
 
-// LockTimeout implements TimedMutex: give up by stopping the retry
+// LockTimeout implements Mutex: give up by stopping the retry
 // loop at the deadline.
 func (l *TTAS) LockTimeout(t *Thread, d time.Duration) bool {
 	return PollTimeout(func() bool { return l.state.Load() == 0 && l.state.Swap(1) == 0 }, d)
@@ -126,7 +126,7 @@ func (l *BackoffTAS) Lock(t *Thread) {
 	}
 }
 
-// LockTimeout implements TimedMutex: the backoff loop with a deadline
+// LockTimeout implements Mutex: the backoff loop with a deadline
 // check per backoff interval (an interval is at most l.max pause
 // units, so expiry is detected with bounded lag).
 func (l *BackoffTAS) LockTimeout(t *Thread, d time.Duration) bool {

@@ -53,7 +53,7 @@ func (l *Ticket) TryLock(t *Thread) bool {
 	return l.state.CompareAndSwap(v, v+1<<32)
 }
 
-// LockTimeout implements TimedMutex. A drawn ticket cannot be returned
+// LockTimeout implements Mutex. A drawn ticket cannot be returned
 // — the grant counter serves tickets strictly in order, so an
 // abandoned ticket would wedge every later one. The timed acquire is
 // therefore a deadline-bounded TryLock poll: it never joins the FIFO
@@ -159,7 +159,7 @@ func (l *PartitionedTicket) TryLock(t *Thread) bool {
 	return true
 }
 
-// LockTimeout implements TimedMutex: a deadline-bounded TryLock poll,
+// LockTimeout implements Mutex: a deadline-bounded TryLock poll,
 // for the same cannot-return-a-ticket reason as Ticket.LockTimeout.
 func (l *PartitionedTicket) LockTimeout(t *Thread, d time.Duration) bool {
 	return PollTimeout(func() bool { return l.TryLock(t) }, d)

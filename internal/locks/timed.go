@@ -7,43 +7,40 @@ import (
 	"repro/internal/spinwait"
 )
 
-// TimedMutex is a Mutex with bounded-wait acquisition. Every lock in
-// this repository implements it; how a timed acquire gives up is
-// layer-specific and documented per lock:
-//
-//   - Flat spin locks (TAS, TTAS, BO-TAS, HBO) hold no queue position,
-//     so a timed-out waiter simply stops retrying.
-//   - Queue locks (MCS, CLH, CNA, Malthusian, cohort locals, HMCS,
-//     qspin) run a Scott-&-Scherer-style abandonment protocol: the
-//     timed waiter marks its node abandoned, the handover path detects
-//     the mark and skips the node, and the node is retired back to its
-//     owner afterwards — no lost grant, no ghost critical section.
-//   - FIFO counter locks (TKT, PTL) cannot abandon a drawn ticket
-//     without wedging the grant sequence, so their timed acquire is a
-//     deadline-bounded TryLock poll: strictly weaker fairness than
-//     their blocking Lock, but safe and non-wedging.
-type TimedMutex interface {
-	Mutex
-	// LockTimeout attempts to acquire the mutex for t, giving up after
-	// d. It returns true when the mutex is held (exactly like Lock
-	// having returned) and false on expiry, in which case the thread's
-	// nesting slot is not consumed and the mutex is untouched — a later
-	// Lock/TryLock by any thread (including t) proceeds normally.
-	// A non-positive d degrades to TryLock.
-	LockTimeout(t *Thread, d time.Duration) bool
+// TimedNativeMutex is NativeMutex, whose contract includes the timed
+// acquires; the name stays for code written against it.
+type TimedNativeMutex = NativeMutex
+
+// NoWait is the deadline of a single non-blocking attempt. It lies in
+// the past, so a deadline-driven acquire gives up after its first try,
+// and LockUntil and RLockUntil recognise it by comparison, so a try
+// reads no clock and reaches the lock's own TryLock.
+var NoWait = time.Unix(0, 0)
+
+// LockUntil is the deadline-driven acquire over the Mutex contract: the
+// zero deadline is Lock (it never reads the clock), NoWait is TryLock,
+// and any other deadline bounds the wait as LockTimeout does.
+func LockUntil(m Mutex, t *Thread, deadline time.Time) bool {
+	switch {
+	case deadline.IsZero():
+		m.Lock(t)
+		return true
+	case deadline == NoWait:
+		return m.TryLock(t)
+	}
+	return m.LockTimeout(t, time.Until(deadline))
 }
 
-// TimedNativeMutex is a NativeMutex with bounded-wait acquisition —
-// the goroutine-native form of TimedMutex (see gonative.Mutex and the
-// stdlib baselines). Both methods leave the mutex untouched on failure.
-type TimedNativeMutex interface {
-	NativeMutex
-	// LockTimeout attempts to acquire the mutex, giving up after d.
-	LockTimeout(d time.Duration) bool
-	// LockContext acquires the mutex unless ctx is cancelled or its
-	// deadline passes first; non-nil means the context's error and the
-	// mutex untouched.
-	LockContext(ctx context.Context) error
+// RLockUntil is LockUntil for the read side of an RWMutex.
+func RLockUntil(m RWMutex, t *Thread, deadline time.Time) bool {
+	switch {
+	case deadline.IsZero():
+		m.RLock(t)
+		return true
+	case deadline == NoWait:
+		return m.RTryLock(t)
+	}
+	return m.RLockTimeout(t, time.Until(deadline))
 }
 
 // ctxQuantum bounds how long a context-driven acquisition can outlive
@@ -97,14 +94,12 @@ func PollTimeout(try func() bool, d time.Duration) bool {
 	}
 	deadline := time.Now().Add(d)
 	var s spinwait.Spinner
-	for n := 1; ; n++ {
+	for {
 		s.Pause()
 		if try() {
 			return true
 		}
-		// Clock reads are amortized over the busy phase (one per 64
-		// pauses) and unconditional once the spinner is down to yields.
-		if (s.Yielding() || n%64 == 0) && !time.Now().Before(deadline) {
+		if s.Expired(deadline) {
 			return try() // one last attempt at the buzzer
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/gonative"
 	"repro/internal/lockreg"
@@ -34,6 +35,10 @@ func (a paperAdapter) Lock(*locks.Thread)         { a.m.Lock() }
 func (a paperAdapter) TryLock(*locks.Thread) bool { return a.m.TryLock() }
 func (a paperAdapter) Unlock(*locks.Thread)       { a.m.Unlock() }
 func (a paperAdapter) Name() string               { return a.m.Name() }
+
+func (a paperAdapter) LockTimeout(_ *locks.Thread, d time.Duration) bool {
+	return a.m.LockTimeout(d)
+}
 
 func TestGonativeStormOversubscribedPool(t *testing.T) {
 	const (

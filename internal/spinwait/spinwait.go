@@ -25,7 +25,10 @@
 // code.
 package spinwait
 
-import "runtime"
+import (
+	"runtime"
+	"time"
+)
 
 // The phase schedule. Phase 1 is tightSpins calls of tightBurst work
 // units each; phase 2 is burstSpins calls whose bursts double from
@@ -64,6 +67,20 @@ func (s *Spinner) Pause() {
 // Yielding reports whether the spinner has reached the yield-every-call
 // phase (it has burned through its busy-wait budget).
 func (s *Spinner) Yielding() bool { return s.calls >= tightSpins+burstSpins }
+
+// Expired is the deadline probe of the timed wait loops: it reports
+// whether deadline has passed, reading the clock only once the spinner
+// yields (a handful of busy-work pauses cost less than the read). The
+// zero deadline never expires and never reads the clock.
+func (s *Spinner) Expired(deadline time.Time) bool {
+	return s.Yielding() && passed(deadline)
+}
+
+// passed is Expired's out-of-line half, so the busy phase of a wait
+// loop pays an inlined counter compare per pause and no call.
+func passed(deadline time.Time) bool {
+	return !deadline.IsZero() && !time.Now().Before(deadline)
+}
 
 // Reset clears the spin state, typically called after the awaited
 // condition fires so the next wait starts in the cheap phase again.

@@ -102,11 +102,11 @@
 //
 // # Bounded-wait acquisition
 //
-// Every lock also implements LockTimeout — a timed acquire that gives
-// up cleanly on expiry (queue locks abandon their queue position via a
-// Scott-&-Scherer-style protocol; see internal/locks.TimedMutex for
-// the layer-by-layer semantics). The native form adds context support,
-// directly on every NewMutex result:
+// LockTimeout is part of both lock contracts — a timed acquire that
+// gives up cleanly on expiry (queue locks abandon their queue position
+// via a Scott-&-Scherer-style protocol; see LockTimeout on
+// internal/locks.Mutex for the layer-by-layer semantics). The native
+// contract adds context support, so every NewMutex result has both:
 //
 //	if mu.LockTimeout(time.Millisecond) { ...; mu.Unlock() }
 //	if err := mu.LockContext(ctx); err == nil { ...; mu.Unlock() }
@@ -134,27 +134,17 @@ import (
 )
 
 // Mutex is the uniform lock interface implemented by every user-space
-// lock in this repository.
+// lock in this repository, bounded-wait LockTimeout included.
 type Mutex = locks.Mutex
 
 // NativeMutex is the goroutine-native lock contract: a sync.Locker
-// with TryLock and Name, usable from plain Go code with no *Thread in
-// sight. NewMutex returns one for any registered lock.
+// with TryLock, LockTimeout, LockContext and Name, usable from plain
+// Go code with no *Thread in sight. NewMutex returns one for any
+// registered lock.
 type NativeMutex = locks.NativeMutex
 
-// TimedMutex is a Mutex with bounded-wait acquisition: LockTimeout
-// returns false on expiry, leaving the lock untouched. Every
-// registered lock implements it; the give-up mechanism is
-// layer-specific and documented on internal/locks.TimedMutex.
-type TimedMutex = locks.TimedMutex
-
-// TimedNativeMutex is the goroutine-native bounded-wait contract: a
-// NativeMutex with LockTimeout(d) and LockContext(ctx). It is what
-// NewMutex returns, so the timed forms need no type assertion.
-type TimedNativeMutex = locks.TimedNativeMutex
-
-// RWMutex is the reader-writer contract in *Thread form: a TimedMutex
-// (the write side) plus RLock/RUnlock/RTryLock/RLockTimeout. Every
+// RWMutex is the reader-writer contract in *Thread form: a Mutex (the
+// write side) plus RLock/RUnlock/RTryLock/RLockTimeout. Every
 // "-rw" registered lock builds one.
 type RWMutex = locks.RWMutex
 
@@ -218,7 +208,7 @@ func MustBuild(name string, env Env, opts ...BuildOption) Mutex {
 // never corrupt queue nodes. Options work as in Build ("cna" +
 // WithThreshold, "mcs" + WithWait(SpinThenParkWait()), ...); prefer
 // the "*-park" spellings when goroutines can outnumber processors.
-func NewMutex(name string, opts ...BuildOption) (TimedNativeMutex, error) {
+func NewMutex(name string, opts ...BuildOption) (NativeMutex, error) {
 	return gonative.New(name, Env{}, opts...)
 }
 
@@ -226,12 +216,12 @@ func NewMutex(name string, opts ...BuildOption) (TimedNativeMutex, error) {
 // bounds concurrent acquisitions (the slot-pool capacity), Topology
 // shapes the pool's socket striping and the lock's NUMA layout, and a
 // shared Arena works as in Build.
-func NewMutexIn(name string, env Env, opts ...BuildOption) (TimedNativeMutex, error) {
+func NewMutexIn(name string, env Env, opts ...BuildOption) (NativeMutex, error) {
 	return gonative.New(name, env, opts...)
 }
 
 // MustNewMutex is NewMutex for statically known names.
-func MustNewMutex(name string, opts ...BuildOption) TimedNativeMutex {
+func MustNewMutex(name string, opts ...BuildOption) NativeMutex {
 	return gonative.MustNew(name, Env{}, opts...)
 }
 
@@ -262,7 +252,7 @@ func MustNewRWMutex(name string, opts ...BuildOption) NativeRWMutex {
 // error is returned and the mutex is untouched. Cancellation (as
 // opposed to deadline expiry) can lag by up to a millisecond — the
 // wait is chunked into timed acquires with a check between chunks.
-func LockWithContext(ctx context.Context, m TimedNativeMutex) error {
+func LockWithContext(ctx context.Context, m NativeMutex) error {
 	return gonative.LockWithContext(ctx, m)
 }
 
